@@ -102,8 +102,7 @@ def continuation(params: Params, domain: DomainSpec, eps_list, opts=None,
         p_eps = _with_eps(params, eps)
         step_opts = SolveOptions(strategy=opts.strategy, theta=opts.theta,
                                  max_iter=opts.max_iter,
-                                 residual_tol=opts.residual_tol,
-                                 normalization=opts.normalization, seed=seed,
+                                 residual_tol=opts.residual_tol, seed=seed,
                                  positivity_tol=opts.positivity_tol)
         rec = solve(p_eps, domain, basis, weights, step_opts)
         seed = Seed.warm_start(rec.grid)
@@ -260,12 +259,11 @@ def symmetrization_check(f: GridField, mu, weights):
     lhs_b = 0.5 * float(np.sum(w * f.values * conv.values))
     if dom.dim == 1:
         x = dom.axes()[0]
-        a_m = riesz.moment_weights_1d(dom, mu)
         vals = f.values
-        t1 = np.array([a_m[i] @ (vals - vals[i]) for i in range(len(x))])
-        term1 = float(np.sum(w * x * vals * t1))
-        g = x * vals * vals
-        term2 = float(weights.matrix[-1] @ g - weights.matrix[0] @ g) / mu
+        term1 = float(np.sum(w * x * vals * _moment_rows(dom, mu, vals)))
+        # the last row minus the first of the weights against x f^2
+        conv_g = riesz.convolve(weights, GridField(dom, x * vals * vals)).values
+        term2 = float(conv_g[-1] - conv_g[0]) / mu
         lhs_a = term1 + term2
     else:
         lhs_a = _moment_double_2d(f, mu)
@@ -275,6 +273,16 @@ def symmetrization_check(f: GridField, mu, weights):
     if not math.isfinite(residual):
         raise QuadratureFailure(f"moment quadrature returned {lhs_a!r}")
     return lhs_a, lhs_b, residual
+
+
+def _moment_rows(dom: DomainSpec, mu, f):
+    """Row i of the 1-D moment weights against f - f_i, for every i.
+
+    Equal to (A f)_i - f_i (A 1)_i, so two Toeplitz applies replace the
+    row loop over the dense moment matrix A.
+    """
+    af, a1 = riesz.moment_apply(dom, mu, np.stack([f, np.ones_like(f)]))
+    return af - f * a1
 
 
 def _moment_double_2d(f: GridField, mu):
@@ -332,15 +340,13 @@ def pohozaev_balance(record: SolutionRecord, params: Params, basis, weights,
     g3 = float(np.sum((w * np.abs(conv * up))[strip_mask]))
     if dom.dim == 1:
         # outer x over M(r/2) only, where the PV row value is finite
-        x = dom.axes()[0]
-        a_mat = riesz.moment_weights_1d(dom, weights.mu)
+        x = dom.axes()[0][interior_mask]
+        mu = weights.mu
         a0, b0 = dom.bounds
-        g4 = 0.0
-        for i in np.nonzero(interior_mask)[0]:
-            inner = a_mat[i] @ (up - up[i])
-            inner += up[i] * ((b0 - x[i]) ** (-weights.mu)
-                              - (x[i] - a0) ** (-weights.mu)) / weights.mu
-            g4 += w[i] * x[i] * up[i] * inner
+        f = up[interior_mask]
+        inner = (_moment_rows(dom, mu, up)[interior_mask]
+                 + f * ((b0 - x) ** (-mu) - (x - a0) ** (-mu)) / mu)
+        g4 = float(np.sum(w[interior_mask] * x * f * inner))
     else:
         g4 = _moment_double_2d(GridField(dom, up), weights.mu)
     remainder = (g1, g2, g3, abs(g4))
@@ -416,7 +422,7 @@ def boundary_bounds(report: ContinuationReport, r):
             f"strip radius {r} reaches the inradius {inradius}; M(Omega, r) empty")
     rows = []
     for rec in report.records:
-        strip_sup, interior_l1 = _strip_quantities_with_margin(rec, r)
+        strip_sup, interior_l1 = _strip_quantities(rec, r)
         rows.append((rec.eps, strip_sup, interior_l1))
     if len(rows) <= 1:
         return rows, True
@@ -430,13 +436,3 @@ def boundary_bounds(report: ContinuationReport, r):
     sup_growth = report.records[-1].sup_norm / report.records[0].sup_norm
     return rows, bool(within and sup_growth >= growth_bar)
 
-
-def _strip_quantities_with_margin(rec: SolutionRecord, margin):
-    dom = rec.grid.domain
-    interior = dom.interior_mask(margin)
-    strip = ~interior
-    vals = rec.grid.values
-    w = dom.node_weights()
-    strip_sup = float(np.max(vals[strip])) if np.any(strip) else 0.0
-    interior_l1 = float(np.sum((w * vals)[interior]))
-    return strip_sup, interior_l1

@@ -3,7 +3,12 @@
 1-D weights are product-integration rows exact for piecewise-linear
 integrands against |x-t|^{-mu}: the per-cell moments of the kernel against
 hat functions have elementary antiderivatives for mu in (0,1), so the
-singular cell needs no regularization.
+singular cell needs no regularization.  On a uniform grid the rows are
+Toeplitz except in the two end columns, whose nodes carry half hats, so
+the weights are stored as one closed-form generator of length 2N - 1 plus
+two end-column corrections and applied with a zero-padded real FFT in
+O(N log N).  The dense builders `_build_1d` and `moment_weights_1d` stay as
+test oracles.
 
 2-D weights are piecewise-constant product integration over node-centered
 cells clipped to the domain.  Uniform spacing makes the full-cell integrals
@@ -16,12 +21,15 @@ configurations need.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
-import hashlib
+import tempfile
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
@@ -42,11 +50,17 @@ class RieszWeights:
 
     mu: float
     domain: DomainSpec
-    matrix: np.ndarray | None = None          # 1-D dense rows
-    offsets: np.ndarray | None = None         # 2-D full-cell offset table
-    edge_x: np.ndarray | None = None          # strip table, x-overhang
-    edge_y: np.ndarray | None = None          # strip table, y-overhang
+    # never set: no layout stores dense rows; readers of weights
+    # (benchmarks/spans.py) test it to pick the layout's byte count
+    matrix: np.ndarray | None = None
+    # 2-D: full-cell offset table, strip tables of the x- and y-overhangs.
+    # 1-D: generator by column-minus-row offset + N - 1, and the corrections
+    # of the first and last columns (half hats minus full hats).
+    offsets: np.ndarray | None = None
+    edge_x: np.ndarray | None = None
+    edge_y: np.ndarray | None = None
     corners: dict = field(default_factory=dict)
+    spectrum: np.ndarray | None = field(default=None, repr=False)  # 1-D FFT
 
 
 # --------------------------------------------------------------------------
@@ -54,6 +68,7 @@ class RieszWeights:
 # --------------------------------------------------------------------------
 
 def _build_1d(x, mu):
+    """Dense rows of the 1-D weights; the oracle of the Toeplitz form."""
     n = len(x)
     h = x[1] - x[0]
     a = np.zeros((n, n))
@@ -74,6 +89,72 @@ def _build_1d(x, mu):
         a[i, :-1] += m0 - m1 / h
         a[i, 1:] += m1 / h
     return a
+
+
+def _second_difference(k, p):
+    """(k+1)^p - 2 k^p + (k-1)^p for integers k >= 1.
+
+    Written through expm1/log1p, which leaves a rounding error of order
+    k * eps relative instead of the k^2 * eps of the three powers.
+    """
+    k = np.asarray(k, dtype=float)
+    with np.errstate(divide="ignore"):
+        return k ** p * (np.expm1(p * np.log1p(1.0 / k))
+                         + np.expm1(p * np.log1p(-1.0 / k)))
+
+
+def _taylor_remainder(m, p):
+    """(m+1)^p - m^p - p m^(p-1) for integers m >= 1."""
+    m = np.asarray(m, dtype=float)
+    return m ** p * (np.expm1(p * np.log1p(1.0 / m)) - p / m)
+
+
+def _hat_weights(n, p, odd, scale):
+    """Toeplitz generator and end-column corrections of a 1-D power kernel.
+
+    Up to the factor scale, G(k) = |k|^p (odd: sign(k)|k|^p) is the
+    kernel's second antiderivative in grid units.  The full hat at an
+    offset of k cells weighs the second difference of G at k, and the half
+    hat of an end node m cells away weighs the Taylor remainder of G at m.
+    Returns the generator over the offsets k = -(N-1) .. N-1 and the
+    corrections (half hat minus full hat) of the first and last columns.
+    """
+    k = np.arange(1, n)
+    d2 = _second_difference(k, p)
+    gen = np.concatenate([(-d2 if odd else d2)[::-1], [0.0 if odd else 2.0], d2])
+    # m = 0: the node's own half hat (1 for the Riesz kernel); the PV
+    # pairing of the odd moment kernel drops it
+    rem = np.concatenate([[0.0 if odd else 1.0], _taylor_remainder(k, p)])
+    right = -scale * rem[::-1]
+    left = -right[::-1] if odd else right[::-1]
+    return scale * gen, left, right
+
+
+def _fft_len(n):
+    # a circular product of this length holds the needed linear-product slots
+    return next_fast_len(2 * n - 1, real=True)
+
+
+def _toeplitz_spectrum(generator):
+    """Real FFT of the flipped generator, zero-padded to `_fft_len`.
+
+    Entry (i, j) of the operator is generator[j - i + N - 1]; flipping turns
+    the row sums into a convolution.  The orientation matters for the odd
+    moment kernel, which a flipped generator would negate.
+    """
+    n = (len(generator) + 1) // 2
+    return rfft(generator[::-1], _fft_len(n))
+
+
+def _toeplitz_apply(spectrum, left, right, values):
+    """Toeplitz product plus the two end-column corrections.
+
+    Applies along the last axis, so a stack of fields goes in one call.
+    """
+    n = values.shape[-1]
+    size = _fft_len(n)
+    out = irfft(rfft(values, size) * spectrum, size)[..., n - 1:2 * n - 1]
+    return out + values[..., :1] * left + values[..., -1:] * right
 
 
 # --------------------------------------------------------------------------
@@ -222,12 +303,15 @@ def build_weights(domain: DomainSpec, mu) -> RieszWeights:
         raise KernelNotIntegrable(
             f"kernel |x-t|^(-mu) needs 0 < mu < {dim} on a {dim}-D domain, got mu = {mu}")
     if dim == 1:
-        if domain.n_grid > _MAX_DENSE_1D:
+        n = domain.n_grid
+        if n > _MAX_DENSE_1D:
             raise OutOfRange(
-                f"dense 1-D weights capped at N = {_MAX_DENSE_1D}; "
-                f"reduce the grid resolution (got {domain.n_grid})")
-        return RieszWeights(mu=mu, domain=domain,
-                            matrix=_build_1d(domain.axes()[0], mu))
+                f"1-D weights capped at N = {_MAX_DENSE_1D}; "
+                f"reduce the grid resolution (got {n})")
+        scale = domain.spacings()[0] ** (1.0 - mu) / ((1.0 - mu) * (2.0 - mu))
+        gen, left, right = _hat_weights(n, 2.0 - mu, False, scale)
+        return RieszWeights(mu=mu, domain=domain, offsets=gen, edge_x=left,
+                            edge_y=right, spectrum=_toeplitz_spectrum(gen))
     if domain.n_grid > _MAX_GRID_2D:
         raise OutOfRange(
             f"2-D weights capped at N = {_MAX_GRID_2D} per axis; "
@@ -242,7 +326,8 @@ def convolve(weights: RieszWeights, f: GridField) -> GridField:
     if f.domain != weights.domain:
         raise GridMismatch("field grid does not match the weights' grid")
     if weights.domain.dim == 1:
-        return GridField(weights.domain, weights.matrix @ f.values)
+        return GridField(weights.domain, _toeplitz_apply(
+            weights.spectrum, weights.edge_x, weights.edge_y, f.values))
     vals = f.values
     n = weights.domain.n_grid
     out = fftconvolve(vals, weights.offsets, mode="same")
@@ -267,15 +352,6 @@ def convolve(weights: RieszWeights, f: GridField) -> GridField:
         if vals[i, j] != 0.0:
             out += vals[i, j] * fld
     return GridField(weights.domain, out)
-
-
-def mass_row(weights: RieszWeights, index):
-    """Row applied to the constant field 1 (the weight-row mass)."""
-    ones = GridField(weights.domain, np.ones(
-        (weights.domain.n_grid,) if weights.domain.dim == 1
-        else (weights.domain.n_grid, weights.domain.n_grid)))
-    conv = convolve(weights, ones)
-    return conv.values[index]
 
 
 # --------------------------------------------------------------------------
@@ -366,6 +442,7 @@ def moment_weights_1d(domain: DomainSpec, mu):
     The rows are meant to act on (f - f(x_i)); with that pairing the two
     cells adjacent to x_i contribute only through the neighbor hats
     (-/+ h^{-mu}/(1-mu)), the node hat dropping out by PV symmetry.
+    Dense; the oracle of `moment_apply`.
     """
     if domain.dim != 1:
         raise OutOfRange("moment weights are a 1-D construction")
@@ -401,11 +478,29 @@ def moment_weights_1d(domain: DomainSpec, mu):
     return a
 
 
+def moment_apply(domain: DomainSpec, mu, values):
+    """moment_weights_1d(domain, mu) @ values in O(N log N).
+
+    The neighbor terms complete the PV-paired near cells to full hats, so
+    the rows are Toeplitz in the odd generator plus two end columns.
+    values may stack several fields along leading axes.
+    """
+    if domain.dim != 1:
+        raise OutOfRange("moment weights are a 1-D construction")
+    mu = float(mu)
+    scale = domain.spacings()[0] ** (-mu) / (mu * (1.0 - mu))
+    gen, left, right = _hat_weights(domain.n_grid, 1.0 - mu, True, scale)
+    return _toeplitz_apply(_toeplitz_spectrum(gen), left, right,
+                           np.asarray(values, dtype=float))
+
+
 # --------------------------------------------------------------------------
-# weights cache (binary sidecar, format-versioned)
+# weights cache for 2-D tables (binary sidecar, format-versioned)
 # --------------------------------------------------------------------------
 
 _CACHE_FORMAT_VERSION = 1
+# what np.load raises on a missing, truncated, empty or foreign file
+_CACHE_LOAD_ERRORS = (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile)
 
 
 def _cache_key(domain: DomainSpec, mu):
@@ -419,35 +514,40 @@ def cache_dir():
 
 
 def load_or_build_weights(domain: DomainSpec, mu, directory=None) -> RieszWeights:
-    """build_weights with a binary sidecar cache keyed by (domain, mu, N)."""
+    """build_weights with a binary sidecar cache keyed by (domain, mu, N).
+
+    Only 2-D tables are cached: 1-D weights are O(N) to build.  A file that
+    cannot be read or has another format version is rebuilt and
+    overwritten; files are written under a temporary name and moved into
+    place, so a reader never sees a partial file.
+    """
+    if domain.dim == 1:
+        return build_weights(domain, mu)
     directory = directory or cache_dir()
     path = os.path.join(directory, f"fhlw_{_cache_key(domain, mu)}.npz")
     if os.path.exists(path):
         try:
-            data = np.load(path, allow_pickle=False)
-            if int(data["format_version"][0]) == _CACHE_FORMAT_VERSION:
-                w = RieszWeights(mu=float(mu), domain=domain)
-                if "matrix" in data:
-                    w.matrix = data["matrix"]
-                else:
-                    w.offsets = data["offsets"]
-                    w.edge_x = data["edge_x"]
-                    w.edge_y = data["edge_y"]
-                    w.corners = {tuple(map(int, k.split("_")[1:])): data[k]
-                                 for k in data.files if k.startswith("corner_")}
-                return w
-        except Exception:
-            pass  # fall through and rebuild on any cache damage
+            with np.load(path, allow_pickle=False) as data:
+                if int(data["format_version"][0]) == _CACHE_FORMAT_VERSION:
+                    return RieszWeights(
+                        mu=float(mu), domain=domain, offsets=data["offsets"],
+                        edge_x=data["edge_x"], edge_y=data["edge_y"],
+                        corners={tuple(map(int, k.split("_")[1:])): data[k]
+                                 for k in data.files if k.startswith("corner_")})
+        except _CACHE_LOAD_ERRORS:
+            pass  # damaged: rebuilt and overwritten below
     w = build_weights(domain, mu)
     os.makedirs(directory, exist_ok=True)
-    payload = {"format_version": np.array([_CACHE_FORMAT_VERSION])}
-    if w.matrix is not None:
-        payload["matrix"] = w.matrix
-    else:
-        payload["offsets"] = w.offsets
-        payload["edge_x"] = w.edge_x
-        payload["edge_y"] = w.edge_y
-        for (i, j), fld in w.corners.items():
-            payload[f"corner_{i}_{j}"] = fld
-    np.savez(path, **payload)
+    payload = {"format_version": np.array([_CACHE_FORMAT_VERSION]),
+               "offsets": w.offsets, "edge_x": w.edge_x, "edge_y": w.edge_y}
+    for (i, j), fld in w.corners.items():
+        payload[f"corner_{i}_{j}"] = fld
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fhlw_", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, **payload)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return w

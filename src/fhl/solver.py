@@ -30,11 +30,6 @@ class Strategy(enum.Enum):
     NORMALIZED_GRADIENT_FLOW = "gradient_flow"
 
 
-class Normalization(enum.Enum):
-    SUP_NORM = "sup"
-    NONLOCAL_ENERGY = "nonlocal_energy"
-
-
 @dataclass(frozen=True)
 class Seed:
     kind: str
@@ -60,7 +55,6 @@ class SolveOptions:
     theta: float = 0.5
     max_iter: int = 2000
     residual_tol: float = 1e-8
-    normalization: Normalization = Normalization.SUP_NORM
     seed: Seed = field(default_factory=Seed.first_eigenfunction)
     # negative excursions below -positivity_tol * sup trip the damping guard;
     # the sine synthesis of a positive boundary layer rings at the 1e-4 level,
@@ -134,8 +128,7 @@ def _problem_terms(params: Params):
 def _nonlinear_rhs(weights: RieszWeights, u_vals, p):
     """(|x|^{-mu} * u^p) u^{p-1} on the grid, clamping negative ripple."""
     up = np.maximum(u_vals, 0.0) ** p
-    conv = (weights.matrix @ up if weights.domain.dim == 1
-            else riesz.convolve(weights, GridField(weights.domain, up)).values)
+    conv = riesz.convolve(weights, GridField(weights.domain, up)).values
     return conv * np.maximum(u_vals, 0.0) ** (p - 1.0)
 
 
@@ -174,11 +167,17 @@ def _solve_fixed_point(params, domain, basis, weights, opts, rhs_fn, denom):
     rhs_fn(u_vals) evaluates the homogeneous nonlinearity on the grid;
     denom are the modal symbols inverted each step (lambda^s, possibly
     shifted).  Returns (calibrated values, coeffs, residual, iterations).
+
+    The coefficients a of u are tracked instead of re-analysed: analysis is
+    linear and undoes synthesis for K <= N - 2 modes per axis (which
+    build_basis enforces), so the update of u carries over to a exactly,
+    also for seeds outside the mode span.
     """
     p, _, _ = _problem_terms(params)
     degree = 2.0 * p - 1.0
     u = _seed_values(opts.seed, params, domain, basis)
     u = u / np.max(u)
+    a = analysis(basis, GridField(domain, u)).coeffs
     theta = opts.theta
     halvings = 0
     res = math.inf
@@ -191,13 +190,13 @@ def _solve_fixed_point(params, domain, basis, weights, opts, rhs_fn, denom):
         m = float(np.max(v))
         if not m > 0.0:
             raise PositivityLost("update lost positivity entirely")
-        a = analysis(basis, GridField(domain, u)).coeffs
         res = (np.linalg.norm(a * denom - b / m)
                / max(np.linalg.norm(b / m), 1e-300))
         if res < opts.residual_tol:
             break
         u_new = (1.0 - theta) * u + theta * v / m
-        u_new = u_new / np.max(u_new)
+        top = np.max(u_new)
+        u_new = u_new / top
         if _interior_min(u_new) < -opts.positivity_tol * np.max(u_new):
             halvings += 1
             if halvings > 5:
@@ -207,8 +206,9 @@ def _solve_fixed_point(params, domain, basis, weights, opts, rhs_fn, denom):
             theta *= 0.5
             continue
         u = u_new
+        a = ((1.0 - theta) * a + theta * b / (denom * m)) / top
     t = m ** (-1.0 / (degree - 1.0))
-    return t * u, res, it
+    return t * u, t * a, res, it
 
 
 def _gradient_flow(params, domain, basis, weights, opts, rhs_fn, denom):
@@ -269,7 +269,7 @@ def _gradient_flow(params, domain, basis, weights, opts, rhs_fn, denom):
     res = (np.linalg.norm(a_n * denom - b / m)
            / max(np.linalg.norm(b / m), 1e-300))
     t = m ** (-1.0 / (degree - 1.0))
-    return t * u_final, res, it
+    return t * u_final, t * a_n, res, it
 
 
 def _parabolic_peak(vals, idx):
@@ -294,15 +294,14 @@ def _parabolic_peak(vals, idx):
     return best
 
 
-def _finalize(params, domain, basis, weights, opts, vals, res, it):
+def _finalize(params, domain, basis, weights, opts, vals, coeffs, res, it):
     u_grid = GridField(domain, vals)
-    f = analysis(basis, u_grid)
     sup = u_grid.sup_norm()
     idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
     alpha = constants.alpha_nmus(params.n, params.n - 2.0 * params.s, params.s)
     min_int = _interior_min(vals)
     rec = SolutionRecord(
-        field=f,
+        field=SpectralField(basis, coeffs),
         grid=u_grid,
         sup_norm=sup,
         argmax=u_grid.argmax_point(),
@@ -342,8 +341,9 @@ def solve_subcritical(params: Params, domain: DomainSpec, basis: EigenBasis,
 
     driver = (_gradient_flow if opts.strategy is Strategy.NORMALIZED_GRADIENT_FLOW
               else _solve_fixed_point)
-    vals, res, it = driver(params, domain, basis, weights, opts, rhs_fn, denom)
-    rec = _finalize(params, domain, basis, weights, opts, vals, res, it)
+    vals, coeffs, res, it = driver(params, domain, basis, weights, opts,
+                                   rhs_fn, denom)
+    rec = _finalize(params, domain, basis, weights, opts, vals, coeffs, res, it)
     if not rec.converged:
         raise NoConvergence(
             f"residual {rec.residual:.3e} after {rec.iterations} iterations "
@@ -375,8 +375,9 @@ def solve_bn(params: Params, domain: DomainSpec, basis: EigenBasis,
 
     driver = (_gradient_flow if opts.strategy is Strategy.NORMALIZED_GRADIENT_FLOW
               else _solve_fixed_point)
-    vals, res, it = driver(params, domain, basis, weights, opts, rhs_fn, denom)
-    rec = _finalize(params, domain, basis, weights, opts, vals, res, it)
+    vals, coeffs, res, it = driver(params, domain, basis, weights, opts,
+                                   rhs_fn, denom)
+    rec = _finalize(params, domain, basis, weights, opts, vals, coeffs, res, it)
     if not rec.converged:
         raise NoConvergence(
             f"residual {rec.residual:.3e} after {rec.iterations} iterations "
@@ -418,7 +419,6 @@ def energy_quotient(u, params: Params, basis: EigenBasis, weights: RieszWeights)
     a = analysis(basis, u_grid).coeffs
     num = float(np.sum(a ** 2 * basis.lambdas ** params.s))
     up = np.maximum(u_grid.values, 0.0) ** p
-    conv = (weights.matrix @ up if weights.domain.dim == 1
-            else riesz.convolve(weights, GridField(weights.domain, up)).values)
+    conv = riesz.convolve(weights, GridField(weights.domain, up)).values
     dbl = float(np.sum(u_grid.domain.node_weights() * up * conv))
     return num / dbl ** (1.0 / p)

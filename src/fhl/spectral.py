@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import dst
 
 from . import constants
 from .errors import (DiagonalEvaluation, ExtrapolationDiverged,
@@ -44,7 +45,10 @@ class EigenBasis:
         return self.domain.dim
 
     def phi_grid(self):
-        """Sampled eigenfunctions on the grid; K x N (interval only)."""
+        """Sampled eigenfunctions on the grid; K x N (interval only).
+
+        The dense oracle of the 1-D transforms, which use DST-I instead.
+        """
         if self.dim != 1:
             raise OutOfRange("sampled mode matrix is materialized per axis in 2-D")
         if self._phi_grid is None:
@@ -142,10 +146,25 @@ def build_basis(domain: DomainSpec, K) -> EigenBasis:
 # transforms
 # --------------------------------------------------------------------------
 
+# On the endpoint-inclusive interval grid x_j = a + j h, j = 0 .. N-1, the
+# sampled modes sqrt(2/L) sin(k pi j / (N-1)) vanish at both ends, so both
+# transforms are a DST-I on the N - 2 interior nodes (scipy's unnormalized
+# DST-I sums 2 sin(.)); any K <= N - 2 leading modes are orthonormal under
+# the trapezoid product, hence analysis(synthesis(a)) = a.
+
+def _dst_scale(domain: DomainSpec):
+    return math.sqrt(2.0 / domain.sides[0]) / 2.0
+
+
 def synthesis(f: SpectralField) -> GridField:
     basis = f.basis
     if basis.dim == 1:
-        return GridField(basis.domain, basis.phi_grid().T @ f.coeffs)
+        n = basis.domain.n_grid
+        padded = np.zeros(n - 2)
+        padded[:basis.K] = f.coeffs
+        vals = np.zeros(n)   # exact zeros at the two Dirichlet nodes
+        vals[1:-1] = _dst_scale(basis.domain) * dst(padded, type=1)
+        return GridField(basis.domain, vals)
     sx, sy = basis.sine_tables()
     kx_max, ky_max = sx.shape[0], sy.shape[0]
     amat = np.zeros((kx_max, ky_max))
@@ -157,8 +176,9 @@ def analysis(basis: EigenBasis, u: GridField) -> SpectralField:
     if u.domain != basis.domain:
         raise OutOfRange("field grid does not match the basis domain")
     if basis.dim == 1:
-        w = basis.domain.trap_weights()[0]
-        return SpectralField(basis, basis.phi_grid() @ (w * u.values))
+        h = basis.domain.spacings()[0]
+        coeffs = h * _dst_scale(basis.domain) * dst(u.values[1:-1], type=1)
+        return SpectralField(basis, coeffs[:basis.K])
     wx, wy = basis.domain.trap_weights()
     sx, sy = basis.sine_tables()
     amat = sx @ (wx[:, None] * u.values * wy[None, :]) @ sy.T

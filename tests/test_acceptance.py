@@ -144,7 +144,7 @@ def test_criterion_05_spectral_roundtrip(interval_basis_20k):
     _report(5, parts)
 
 
-def test_criterion_06_solver_reference(reference_s03):
+def test_criterion_06_solver_reference(reference_s03, fixture_seconds):
     t0 = time.time()
     coarse = reference_s03["coarse"]
     fine = reference_s03["fine"]
@@ -172,13 +172,14 @@ def test_criterion_06_solver_reference(reference_s03):
                   f"mesh drift {drift:.1%} (the core is still narrowing with "
                   f"N at the pinned sizes: half-max width {wc:.4f} -> "
                   f"{wf:.4f} over {nc} -> {nf} nodes)"))
-    wall = time.time() - t0
+    # the solves ran in the fixture, so its build time counts here
+    wall = time.time() - t0 + fixture_seconds["reference_s03"]
     parts.append((wall < 300.0, f"runtime {wall:.1f}s"))
     _report(6, parts)
 
 
 def test_criterion_07_blowup_trends(sweep1d, asym_rectangle_run,
-                                    interval_basis_20k):
+                                    interval_basis_20k, fixture_seconds):
     t0 = time.time()
     report, _, _ = sweep1d
     parts = []
@@ -208,7 +209,9 @@ def test_criterion_07_blowup_trends(sweep1d, asym_rectangle_run,
     parts.append((d_rect <= cell2,
                   f"rectangle argmax {rec.argmax} vs critical {crit[0]} "
                   f"dist {d_rect:.4f}"))
-    wall = time.time() - t0
+    wall = time.time() - t0 + sum(
+        fixture_seconds[name] for name in
+        ("sweep1d", "asym_rectangle_run", "interval_basis_20k"))
     parts.append((wall < 1800.0, f"runtime {wall:.1f}s"))
     _report(7, parts)
 
@@ -276,7 +279,7 @@ def test_criterion_10_boundary_bounds(sweep1d):
     _report(10, parts)
 
 
-def test_criterion_11_brezis_nirenberg(bn_sweep):
+def test_criterion_11_brezis_nirenberg(bn_sweep, fixture_seconds):
     t0 = time.time()
     report, _, _ = bn_sweep
     parts = []
@@ -290,7 +293,7 @@ def test_criterion_11_brezis_nirenberg(bn_sweep):
     spread = (max(lhs) - min(lhs)) / min(lhs)
     parts.append((all(v > 0 for v in lhs) and spread <= 0.30,
                   f"lhs positive, spread {spread:.1%}"))
-    wall = time.time() - t0
+    wall = time.time() - t0 + fixture_seconds["bn_sweep"]
     parts.append((wall < 1800.0, f"runtime {wall:.1f}s"))
     _report(11, parts)
 

@@ -19,7 +19,7 @@ def test_weight_row_mass_1d():
     dom = interval(0.0, 1.0, 257)
     w = riesz.build_weights(dom, 0.4)
     x = dom.axes()[0]
-    mass = w.matrix @ np.ones(257)
+    mass = riesz.convolve(w, GridField(dom, np.ones(257))).values
     exact = mass_oracle_1d(x, 0.0, 1.0, 0.4)
     assert np.max(np.abs(mass - exact)) < 1e-10
 
@@ -27,7 +27,7 @@ def test_weight_row_mass_1d():
 def test_mass_example_at_half():
     dom = interval(0.0, 1.0, 513)
     w = riesz.build_weights(dom, 0.4)
-    val = (w.matrix @ np.ones(513))[256]
+    val = riesz.convolve(w, GridField(dom, np.ones(513))).values[256]
     assert abs(val - 2.0 * 0.5 ** 0.6 / 0.6) < 1e-12
     assert abs(val - 2.19918) < 1e-5
 
@@ -52,7 +52,7 @@ def test_indicator_value_at_zero():
     w = riesz.build_weights(dom, 0.4)
     x = dom.axes()[0]
     f = ((x >= 0.25 - 1e-12) & (x <= 0.75 + 1e-12)).astype(float)
-    val = (w.matrix @ f)[0]
+    val = riesz.convolve(w, GridField(dom, f)).values[0]
     exact = (0.75 ** 0.6 - 0.25 ** 0.6) / 0.6
     # the hat interpolant ramps across one cell at each jump: O(h) error
     assert abs(val - exact) < 5e-4
@@ -180,10 +180,50 @@ def test_riesz_at_center_divergent_tail():
         riesz.riesz_at_center(lambda r: (1.0 + r * r) ** -0.05, p)
 
 
+def _same_2d_weights(w1, w2):
+    return (np.array_equal(w1.offsets, w2.offsets)
+            and np.array_equal(w1.edge_x, w2.edge_x)
+            and np.array_equal(w1.edge_y, w2.edge_y)
+            and w1.corners.keys() == w2.corners.keys()
+            and all(np.array_equal(w1.corners[k], w2.corners[k])
+                    for k in w1.corners))
+
+
 def test_cache_round_trip(tmp_path):
-    dom = interval(0.0, 1.0, 64)
-    w1 = riesz.load_or_build_weights(dom, 0.4, directory=str(tmp_path))
-    w2 = riesz.load_or_build_weights(dom, 0.4, directory=str(tmp_path))
-    assert np.array_equal(w1.matrix, w2.matrix)
+    dom = rectangle(0.0, 1.4, 0.0, 0.9, 16)
+    w1 = riesz.load_or_build_weights(dom, 1.1, directory=str(tmp_path))
+    w2 = riesz.load_or_build_weights(dom, 1.1, directory=str(tmp_path))
+    assert _same_2d_weights(w1, w2)
+    assert len(w2.corners) == 4
     files = list(tmp_path.glob("fhlw_*.npz"))
     assert len(files) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == [files[0].name]
+
+
+def test_cache_skips_1d(tmp_path):
+    dom = interval(0.0, 1.0, 64)
+    w = riesz.load_or_build_weights(dom, 0.4, directory=str(tmp_path))
+    assert w.matrix is None and w.offsets.shape == (127,)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("keep", [0, 0.5])
+def test_damaged_cache_rebuilt_and_replaced(tmp_path, monkeypatch, keep):
+    """A truncated (or empty) cache file is rebuilt, and the rebuild
+    overwrites it with a complete file that later loads serve."""
+    dom = rectangle(0.0, 1.4, 0.0, 0.9, 16)
+    fresh = riesz.load_or_build_weights(dom, 1.1, directory=str(tmp_path))
+    (path,) = tmp_path.glob("fhlw_*.npz")
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:int(keep * size)])
+    w = riesz.load_or_build_weights(dom, 1.1, directory=str(tmp_path))
+    assert _same_2d_weights(w, fresh)
+    assert path.stat().st_size == size
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+    def no_build(*args):
+        raise AssertionError("the replaced file should have been loaded")
+
+    monkeypatch.setattr(riesz, "build_weights", no_build)
+    again = riesz.load_or_build_weights(dom, 1.1, directory=str(tmp_path))
+    assert _same_2d_weights(again, fresh)

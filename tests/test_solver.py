@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fhl import riesz, solver, spectral
-from fhl.errors import OutOfRange, ResonantEps, ZeroField
+from fhl.errors import NoConvergence, OutOfRange, ResonantEps, ZeroField
 from fhl.grids import GridField, interval, rectangle
 from fhl.model import Regime, exponents, make_params
 from fhl.solver import Seed, SolveOptions, Strategy
@@ -143,6 +143,45 @@ def test_bubble_cap_seed(small_setup, small_record):
     opts = SolveOptions(theta=1.0, max_iter=1000, seed=Seed.bubble_cap(5.0))
     rec = solver.solve_subcritical(params, dom, basis, weights, opts)
     assert abs(rec.sup_norm / small_record.sup_norm - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("params, dom, K", [
+    (make_params(1, 0.3, 0.4, 0.3, Regime.SUBCRITICAL_HARTREE),
+     interval(0.0, 1.0, 256), 64),
+    (make_params(2, 0.45, 1.1, 0.15, Regime.SUBCRITICAL_HARTREE),
+     rectangle(0.0, 1.4, 0.0, 0.9, 48), 256),
+], ids=["interval", "rectangle"])
+def test_tracked_coefficients_match_analysis(params, dom, K):
+    """The Picard loop updates the coefficients of u instead of analysing u
+    again; from a seed outside the mode span and with damping, the tracked
+    coefficients at exit still equal the analysis of the returned field."""
+    basis = spectral.build_basis(dom, K)
+    weights = riesz.build_weights(dom, params.mu)
+    opts = SolveOptions(theta=0.5, max_iter=1000, seed=Seed.bubble_cap(5.0))
+    seed = solver._seed_values(opts.seed, params, dom, basis)
+    outside = seed - spectral.synthesis(spectral.analysis(
+        basis, GridField(dom, seed))).values
+    assert np.max(np.abs(outside)) > 1e-3 * np.max(seed)
+    rec = solver.solve_subcritical(params, dom, basis, weights, opts)
+    assert rec.converged and rec.iterations > 10
+    exact = spectral.analysis(basis, rec.grid).coeffs
+    assert np.max(np.abs(rec.field.coeffs - exact)) < 1e-12
+
+
+def test_tracked_coefficients_mid_iteration(small_setup):
+    """Stopped after two steps from a two-bump seed, whose damped updates
+    peak below 1 (the bumps trade places), the tracked coefficients still
+    equal the analysis of the iterate."""
+    params, dom, basis, weights = small_setup
+    x = dom.axes()[0]
+    bumps = GridField(dom, np.maximum(0.0, 1.0 - np.abs(x - 0.2) / 0.05)
+                      + 0.9 * np.maximum(0.0, 1.0 - np.abs(x - 0.6) / 0.2))
+    opts = SolveOptions(theta=0.5, max_iter=2, seed=Seed.warm_start(bumps))
+    with pytest.raises(NoConvergence) as info:
+        solver.solve_subcritical(params, dom, basis, weights, opts)
+    rec = info.value.record
+    exact = spectral.analysis(basis, rec.grid).coeffs
+    assert np.max(np.abs(rec.field.coeffs - exact)) < 1e-12 * np.max(np.abs(exact))
 
 
 @pytest.fixture(scope="module")
