@@ -23,7 +23,7 @@ from .errors import (ConfigError, FHLError, MissingRequired, NumericalError,
                      UnknownKey, ValidationError, WrongType)
 from .grids import DomainKind, GridField, interval, rectangle
 from .model import Regime, make_params
-from .solver import Seed, SolveOptions, Strategy
+from .solver import Seed, SolveOptions
 
 _FMT = "%.12g"
 
@@ -45,7 +45,6 @@ _SCHEMA = {
     "domain.by": (float, False, 1.0),
     "grid": (int, False, 1024),
     "modes": (int, False, 256),
-    "strategy": (str, False, "picard"),
     "theta": (float, False, 0.5),
     "tol": (float, False, 1e-8),
     "max_iter": (int, False, 2000),
@@ -126,12 +125,16 @@ def _seed_from_config(cfg):
     raise WrongType(f"unknown seed spec {spec!r}")
 
 
-def _opts_from_config(cfg):
-    strategy = (Strategy.NORMALIZED_GRADIENT_FLOW
-                if cfg["strategy"] == "gradient_flow" else Strategy.DAMPED_PICARD)
-    return SolveOptions(strategy=strategy, theta=cfg["theta"],
-                        max_iter=cfg["max_iter"], residual_tol=cfg["tol"],
-                        seed=_seed_from_config(cfg))
+def _solve_setup(cfg, eps):
+    """(params, domain, basis, weights, opts) of a config solved at eps."""
+    params = make_params(cfg["n"], cfg["s"], cfg["mu"], eps,
+                         _regime_from_config(cfg))
+    domain = _domain_from_config(cfg)
+    basis = spectral.build_basis(domain, cfg["modes"])
+    weights = riesz.load_or_build_weights(domain, solver.kernel_exponent(params))
+    opts = SolveOptions(theta=cfg["theta"], max_iter=cfg["max_iter"],
+                        residual_tol=cfg["tol"], seed=_seed_from_config(cfg))
+    return params, domain, basis, weights, opts
 
 
 def _json_dump(obj, path):
@@ -267,7 +270,7 @@ def _cmd_solve(args):
     with open(args.config) as fh:
         cfg, warnings = parse_config(fh.read())
     t0 = time.time()
-    record, domain = _run_single_solve(cfg)
+    record = solver.solve(*_solve_setup(cfg, cfg["eps"]))
     wall = time.time() - t0
     out = {
         "config": {k: v for k, v in cfg.items() if v is not None},
@@ -284,22 +287,6 @@ def _cmd_solve(args):
     return 0
 
 
-def _run_single_solve(cfg):
-    regime = _regime_from_config(cfg)
-    params = make_params(cfg["n"], cfg["s"], cfg["mu"], cfg["eps"], regime)
-    domain = _domain_from_config(cfg)
-    basis = spectral.build_basis(domain, cfg["modes"])
-    kernel_mu = (params.n - 2.0 * params.s
-                 if regime is Regime.SUBCRITICAL_HARTREE else params.mu)
-    weights = riesz.load_or_build_weights(domain, kernel_mu)
-    opts = _opts_from_config(cfg)
-    if regime is Regime.SUBCRITICAL_HARTREE:
-        record = solver.solve_subcritical(params, domain, basis, weights, opts)
-    else:
-        record = solver.solve_bn(params, domain, basis, weights, opts)
-    return record, domain
-
-
 def _cmd_continuation(args):
     with open(args.config) as fh:
         cfg, warnings = parse_config(fh.read())
@@ -309,14 +296,7 @@ def _cmd_continuation(args):
         eps_list = [float(v) for v in cfg["eps_list"].split(",")]
     else:
         raise MissingRequired("an eps list is required (--eps or eps_list=)")
-    regime = _regime_from_config(cfg)
-    params = make_params(cfg["n"], cfg["s"], cfg["mu"], eps_list[0], regime)
-    domain = _domain_from_config(cfg)
-    basis = spectral.build_basis(domain, cfg["modes"])
-    kernel_mu = (params.n - 2.0 * params.s
-                 if regime is Regime.SUBCRITICAL_HARTREE else params.mu)
-    weights = riesz.load_or_build_weights(domain, kernel_mu)
-    opts = _opts_from_config(cfg)
+    params, domain, basis, weights, opts = _solve_setup(cfg, eps_list[0])
     t0 = time.time()
     report = diagnostics.continuation(params, domain, eps_list, opts,
                                       basis=basis, weights=weights,

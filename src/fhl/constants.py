@@ -15,13 +15,14 @@ All constants reduce to products and powers of Gamma values:
                   with alpha_ns = alpha at mu = n-2s, 2# = 2n/(n-2s)
     d_ns        = same shape as b_ns with the general-mu alpha and beta~
 
-while B_ns, M_ns, F_ns are the radial integrals
+while B_ns, M_ns, F_ns are radial integrals that the substitution t = r^2
+turns into Beta functions B(a, b) = G(a) G(b) / G(a+b):
 
-    B_ns = sigma_n INT_0^inf r^{n-1} (1+r^2)^{-n} dr
-    M_ns = sigma_n INT_0^1   r^{n-1} (1-r^2)^{-s} dr
-    F_ns = sigma_n INT_0^inf r^{n-1} (1+r^2)^{-(n-2s)} dr   (needs n > 4s)
+    B_ns = sigma_n INT_0^inf r^{n-1} (1+r^2)^{-n} dr      = sigma_n/2 B(n/2, n/2)
+    M_ns = sigma_n INT_0^1   r^{n-1} (1-r^2)^{-s} dr      = sigma_n/2 B(n/2, 1-s)
+    F_ns = sigma_n INT_0^inf r^{n-1} (1+r^2)^{-(n-2s)} dr = sigma_n/2 B(n/2, n/2-2s)
 
-evaluated by adaptive quadrature of the defining integrals.
+(M_ns needs s < 1 and F_ns needs n > 4s; otherwise the integrals diverge).
 """
 
 from __future__ import annotations
@@ -29,10 +30,8 @@ from __future__ import annotations
 import enum
 import math
 
-from scipy.integrate import quad
-
 from .errors import (DivergentIntegral, NonPositiveArgument, OutOfRange,
-                     QuadratureFailure, UnsupportedKind)
+                     UnsupportedKind)
 from .model import Params
 
 # Lanczos approximation, g = 607/128, 15 terms (Godfrey's coefficients).
@@ -120,52 +119,21 @@ def kappa_s(s):
     return gamma(1.0 - s) / (2.0 ** (2.0 * s - 1.0) * gamma(s))
 
 
-def _radial_improper(f):
-    """INT_0^inf f(r) dr split at r = 1 with the tail mapped by r = t/(1-t).
-
-    The tail substitution turns [1, inf) into [1/2, 1) with Jacobian
-    1/(1-t)^2, keeping both pieces on finite intervals for the adaptive
-    rule; endpoint singularities of the mapped tail are left to the QAGS
-    extrapolation (its roundoff warnings are informational once the error
-    estimate is checked).
-    """
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        head, e1 = quad(f, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
-        tail, e2 = quad(lambda t: f(t / (1.0 - t)) / (1.0 - t) ** 2,
-                        0.5, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
-    val = head + tail
-    err = e1 + e2
-    if abs(val) > 0 and err > 1e-9 * abs(val):
-        raise QuadratureFailure(
-            f"radial quadrature error estimate {err:.3e} for value {val:.6e}")
-    return val, err
+def _beta(a, b):
+    """Euler's Beta function B(a, b) = G(a) G(b) / G(a + b)."""
+    return gamma(a) * gamma(b) / gamma(a + b)
 
 
 def b_big_ns(n, s=None):
     """B_ns = sigma_n INT_0^inf r^{n-1}(1+r^2)^{-n} dr (s enters only the name)."""
-    val, _ = _radial_improper(lambda r: r ** (n - 1) / (1.0 + r * r) ** n)
-    return sigma_n(n) * val
+    return sigma_n(n) / 2.0 * _beta(n / 2.0, n / 2.0)
 
 
 def m_big_ns(n, s):
-    """M_ns = sigma_n INT_0^1 r^{n-1}(1-r^2)^{-s} dr.
-
-    Evaluated in the variable u = 1 - r^2, which moves the endpoint
-    singularity to u = 0 where the adaptive rule resolves u^{-s} cleanly.
-    """
+    """M_ns = sigma_n INT_0^1 r^{n-1}(1-r^2)^{-s} dr."""
     if s >= 1.0:
         raise DivergentIntegral(f"M_ns diverges for s >= 1, got s = {s}")
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        val, err = quad(lambda u: 0.5 * (1.0 - u) ** ((n - 2) / 2.0) * u ** (-s),
-                        0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=400)
-    if err > 1e-10 * abs(val):
-        raise QuadratureFailure(
-            f"M_ns quadrature error estimate {err:.3e} for value {val:.6e}")
-    return sigma_n(n) * val
+    return sigma_n(n) / 2.0 * _beta(n / 2.0, 1.0 - s)
 
 
 def f_big_ns(n, s):
@@ -173,9 +141,7 @@ def f_big_ns(n, s):
     if not n > 4.0 * s:
         raise DivergentIntegral(
             f"F_ns diverges unless n > 4s: n = {n}, 4s = {4.0 * s}")
-    val, _ = _radial_improper(
-        lambda r: r ** (n - 1) / (1.0 + r * r) ** (n - 2.0 * s))
-    return sigma_n(n) * val
+    return sigma_n(n) / 2.0 * _beta(n / 2.0, n / 2.0 - 2.0 * s)
 
 
 def small_b_ns(n, s):

@@ -10,7 +10,7 @@ reach at desk scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -91,20 +91,12 @@ def continuation(params: Params, domain: DomainSpec, eps_list, opts=None,
     opts = opts or SolveOptions()
     if basis is None:
         basis = spectral.build_basis(domain, domain.n_grid // 4)
-    p_terms_mu = (params.n - 2.0 * params.s
-                  if params.regime is Regime.SUBCRITICAL_HARTREE else params.mu)
     if weights is None:
-        weights = riesz.build_weights(domain, p_terms_mu)
-    solve = (solver.solve_subcritical
-             if params.regime is Regime.SUBCRITICAL_HARTREE else solver.solve_bn)
+        weights = riesz.build_weights(domain, solver.kernel_exponent(params))
     seed = opts.seed
     for eps in eps_list:
         p_eps = _with_eps(params, eps)
-        step_opts = SolveOptions(strategy=opts.strategy, theta=opts.theta,
-                                 max_iter=opts.max_iter,
-                                 residual_tol=opts.residual_tol, seed=seed,
-                                 positivity_tol=opts.positivity_tol)
-        rec = solve(p_eps, domain, basis, weights, step_opts)
+        rec = solver.solve(p_eps, domain, basis, weights, replace(opts, seed=seed))
         seed = Seed.warm_start(rec.grid)
         report.records.append(rec)
         v = bubbles.rescale(rec.grid, rec.sup_norm, rec.argmax, p_eps,

@@ -527,7 +527,8 @@ def load_or_build_weights(domain: DomainSpec, mu, directory=None) -> RieszWeight
     path = os.path.join(directory, f"fhlw_{_cache_key(domain, mu)}.npz")
     if os.path.exists(path):
         try:
-            with np.load(path, allow_pickle=False) as data:
+            # the handle is ours, so a file np.load rejects is closed too
+            with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
                 if int(data["format_version"][0]) == _CACHE_FORMAT_VERSION:
                     return RieszWeights(
                         mu=float(mu), domain=domain, offsets=data["offsets"],

@@ -1,16 +1,15 @@
 """Positive least-energy solutions of the subcritical Hartree problem and
 its Brezis-Nirenberg variant on supported domains.
 
-The default strategy is a damped, normalized Picard iteration: because the
-nonlinearity is homogeneous (degree 2p - 1), the normalized fixed point is
-one exact scalar calibration away from a solution of the PDE without a
-Lagrange multiplier.  A normalized gradient flow on the energy quotient is
-retained as a fallback for configurations where Picard stalls.
+Both regimes share one solve path, a damped, normalized Picard iteration
+that differs between them only in the convolved power, the kernel exponent
+and the shift eps in lambda^s - eps: because the nonlinearity is
+homogeneous (degree 2p - 1), the normalized fixed point is one exact scalar
+calibration away from a solution of the PDE without a Lagrange multiplier.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -23,11 +22,6 @@ from .grids import DomainSpec, GridField
 from .model import Params, Regime, exponents
 from .riesz import RieszWeights
 from .spectral import EigenBasis, SpectralField, analysis, synthesis
-
-
-class Strategy(enum.Enum):
-    DAMPED_PICARD = "picard"
-    NORMALIZED_GRADIENT_FLOW = "gradient_flow"
 
 
 @dataclass(frozen=True)
@@ -51,7 +45,6 @@ class Seed:
 
 @dataclass
 class SolveOptions:
-    strategy: Strategy = Strategy.DAMPED_PICARD
     theta: float = 0.5
     max_iter: int = 2000
     residual_tol: float = 1e-8
@@ -83,7 +76,6 @@ class SolutionRecord:
     converged: bool
     min_interior: float
     positive: bool
-    strategy: str
     # node sup is authoritative; the parabolic fit through the argmax node
     # and its neighbors is recorded alongside for the rate diagnostics
     sup_norm_interp: float = 0.0
@@ -101,7 +93,6 @@ class SolutionRecord:
             "converged": self.converged,
             "min_interior": self.min_interior,
             "positive": self.positive,
-            "strategy": self.strategy,
             "n": self.params.n,
             "s": self.params.s,
             "mu": self.params.mu,
@@ -123,6 +114,21 @@ def _problem_terms(params: Params):
     if params.regime is Regime.BREZIS_NIRENBERG:
         return exp.two_star, params.mu, params.eps
     raise OutOfRange(f"no bounded-domain equation for regime {params.regime}")
+
+
+def kernel_exponent(params: Params):
+    """Exponent mu of the Riesz kernel |x|^{-mu} in the regime's equation."""
+    return _problem_terms(params)[1]
+
+
+def _relative_defect(a, denom, b):
+    """||a denom - b|| / ||b||, the relative defect of the Galerkin equation
+    in coefficients; 0 when both vanish, inf when only b does."""
+    num = np.linalg.norm(a * denom - b)
+    den = np.linalg.norm(b)
+    if den == 0.0:
+        return 0.0 if num == 0.0 else math.inf
+    return float(num / den)
 
 
 def _nonlinear_rhs(weights: RieszWeights, u_vals, p):
@@ -161,19 +167,18 @@ def _seed_values(seed: Seed, params, domain, basis):
     return synthesis(SpectralField(basis, coeffs)).values
 
 
-def _solve_fixed_point(params, domain, basis, weights, opts, rhs_fn, denom):
+def _solve_fixed_point(params, domain, basis, weights, opts, p, denom):
     """Damped normalized Picard iteration with final homogeneity calibration.
 
-    rhs_fn(u_vals) evaluates the homogeneous nonlinearity on the grid;
-    denom are the modal symbols inverted each step (lambda^s, possibly
-    shifted).  Returns (calibrated values, coeffs, residual, iterations).
+    p is the convolved power of the nonlinearity; denom are the modal
+    symbols inverted each step (lambda^s - eps).  Returns (calibrated
+    values, coeffs, residual, iterations).
 
     The coefficients a of u are tracked instead of re-analysed: analysis is
     linear and undoes synthesis for K <= N - 2 modes per axis (which
     build_basis enforces), so the update of u carries over to a exactly,
     also for seeds outside the mode span.
     """
-    p, _, _ = _problem_terms(params)
     degree = 2.0 * p - 1.0
     u = _seed_values(opts.seed, params, domain, basis)
     u = u / np.max(u)
@@ -184,14 +189,13 @@ def _solve_fixed_point(params, domain, basis, weights, opts, rhs_fn, denom):
     m = 1.0
     it = 0
     for it in range(opts.max_iter):
-        rhs = rhs_fn(u)
+        rhs = _nonlinear_rhs(weights, u, p)
         b = analysis(basis, GridField(domain, rhs)).coeffs
         v = synthesis(SpectralField(basis, b / denom)).values
         m = float(np.max(v))
         if not m > 0.0:
             raise PositivityLost("update lost positivity entirely")
-        res = (np.linalg.norm(a * denom - b / m)
-               / max(np.linalg.norm(b / m), 1e-300))
+        res = _relative_defect(a, denom, b / m)
         if res < opts.residual_tol:
             break
         u_new = (1.0 - theta) * u + theta * v / m
@@ -209,67 +213,6 @@ def _solve_fixed_point(params, domain, basis, weights, opts, rhs_fn, denom):
         a = ((1.0 - theta) * a + theta * b / (denom * m)) / top
     t = m ** (-1.0 / (degree - 1.0))
     return t * u, t * a, res, it
-
-
-def _gradient_flow(params, domain, basis, weights, opts, rhs_fn, denom):
-    """Normalized gradient flow on the energy quotient in coefficient space.
-
-    Fallback for configurations where the Picard map stalls; the converged
-    normalized shape gets the same scalar calibration as the Picard route.
-    """
-    p, _, _ = _problem_terms(params)
-    degree = 2.0 * p - 1.0
-    w_nodes = domain.node_weights()
-
-    def parts(coeffs):
-        u_vals = synthesis(SpectralField(basis, coeffs)).values
-        rhs = rhs_fn(u_vals)
-        b = analysis(basis, GridField(domain, rhs)).coeffs
-        # <rhs, u> = double Riesz integral by the product structure
-        dbl = max(float(np.sum(w_nodes * rhs * np.maximum(u_vals, 0.0))), 1e-300)
-        num = float(np.sum(coeffs ** 2 * denom))
-        return num, dbl, u_vals, b
-
-    a = analysis(basis, GridField(
-        domain, _seed_values(opts.seed, params, domain, basis))).coeffs
-    a /= np.linalg.norm(a)
-    num, dbl, u_vals, b = parts(a)
-    q = num / dbl ** (1.0 / p)
-    dt = 0.2
-    res = math.inf
-    it = 0
-    for it in range(opts.max_iter):
-        grad = 2.0 * denom * a - 2.0 * (num / dbl) * b
-        grad -= a * np.dot(grad, a)    # project onto the sphere tangent
-        step = a - dt * grad / max(np.linalg.norm(grad), 1e-300)
-        step /= np.linalg.norm(step)
-        num2, dbl2, u2, b2 = parts(step)
-        q2 = num2 / dbl2 ** (1.0 / p)
-        if q2 <= q:
-            a, num, dbl, u_vals, b, q = step, num2, dbl2, u2, b2, q2
-            dt = min(dt * 1.2, 1.0)
-        else:
-            dt *= 0.5
-            if dt < 1e-12:
-                break
-            continue
-        if it % 5 == 0:
-            u_n = u_vals / max(float(np.max(u_vals)), 1e-300)
-            b_n = analysis(basis, GridField(domain, rhs_fn(u_n))).coeffs
-            m_n = float(np.max(synthesis(SpectralField(basis, b_n / denom)).values))
-            a_n = analysis(basis, GridField(domain, u_n)).coeffs
-            res = (np.linalg.norm(a_n * denom - b_n / m_n)
-                   / max(np.linalg.norm(b_n / m_n), 1e-300))
-            if res < opts.residual_tol:
-                break
-    u_final = u_vals / max(float(np.max(u_vals)), 1e-300)
-    b = analysis(basis, GridField(domain, rhs_fn(u_final))).coeffs
-    m = float(np.max(synthesis(SpectralField(basis, b / denom)).values))
-    a_n = analysis(basis, GridField(domain, u_final)).coeffs
-    res = (np.linalg.norm(a_n * denom - b / m)
-           / max(np.linalg.norm(b / m), 1e-300))
-    t = m ** (-1.0 / (degree - 1.0))
-    return t * u_final, t * a_n, res, it
 
 
 def _parabolic_peak(vals, idx):
@@ -314,9 +257,26 @@ def _finalize(params, domain, basis, weights, opts, vals, coeffs, res, it):
         converged=bool(res < opts.residual_tol),
         min_interior=min_int,
         positive=bool(min_int > 0.0),
-        strategy=opts.strategy.value,
         sup_norm_interp=float(_parabolic_peak(vals, idx)),
     )
+    return rec
+
+
+def _solve(params: Params, domain: DomainSpec, basis: EigenBasis,
+           weights: RieszWeights, opts: SolveOptions | None) -> SolutionRecord:
+    """The solve body of both regimes, after their own parameter checks."""
+    opts = opts or SolveOptions()
+    p, mu, shift = _problem_terms(params)
+    if abs(weights.mu - mu) > 1e-12:
+        raise OutOfRange(f"weights built for mu = {weights.mu}, equation needs {mu}")
+    denom = basis.lambdas ** params.s - shift
+    vals, coeffs, res, it = _solve_fixed_point(params, domain, basis, weights,
+                                               opts, p, denom)
+    rec = _finalize(params, domain, basis, weights, opts, vals, coeffs, res, it)
+    if not rec.converged:
+        raise NoConvergence(
+            f"residual {rec.residual:.3e} after {rec.iterations} iterations "
+            f"(tol {opts.residual_tol})", record=rec)
     return rec
 
 
@@ -330,25 +290,7 @@ def solve_subcritical(params: Params, domain: DomainSpec, basis: EigenBasis,
         raise OutOfRange(
             "eps > 0 required: the critical problem has no minimizer on a "
             "bounded domain")
-    opts = opts or SolveOptions()
-    p, mu, _ = _problem_terms(params)
-    if abs(weights.mu - mu) > 1e-12:
-        raise OutOfRange(f"weights built for mu = {weights.mu}, equation needs {mu}")
-    denom = basis.lambdas ** params.s
-
-    def rhs_fn(u_vals):
-        return _nonlinear_rhs(weights, u_vals, p)
-
-    driver = (_gradient_flow if opts.strategy is Strategy.NORMALIZED_GRADIENT_FLOW
-              else _solve_fixed_point)
-    vals, coeffs, res, it = driver(params, domain, basis, weights, opts,
-                                   rhs_fn, denom)
-    rec = _finalize(params, domain, basis, weights, opts, vals, coeffs, res, it)
-    if not rec.converged:
-        raise NoConvergence(
-            f"residual {rec.residual:.3e} after {rec.iterations} iterations "
-            f"(tol {opts.residual_tol})", record=rec)
-    return rec
+    return _solve(params, domain, basis, weights, opts)
 
 
 def solve_bn(params: Params, domain: DomainSpec, basis: EigenBasis,
@@ -357,10 +299,7 @@ def solve_bn(params: Params, domain: DomainSpec, basis: EigenBasis,
     """Solution of A_s u = (|x|^{-mu} * u^{2*}) u^{2*-1} + eps u."""
     if params.regime is not Regime.BREZIS_NIRENBERG:
         raise OutOfRange("solve_bn requires the Brezis-Nirenberg regime")
-    opts = opts or SolveOptions()
-    p, mu, eps = _problem_terms(params)
-    if abs(weights.mu - mu) > 1e-12:
-        raise OutOfRange(f"weights built for mu = {weights.mu}, equation needs {mu}")
+    eps = params.eps
     lam_s = basis.lambdas ** params.s
     lam1_s = float(lam_s[0])
     if not 0.0 < eps < lam1_s:
@@ -368,21 +307,20 @@ def solve_bn(params: Params, domain: DomainSpec, basis: EigenBasis,
             f"0 < eps < lambda_1^s required: eps = {eps}, lambda_1^s = {lam1_s}")
     if np.min(np.abs(lam_s - eps)) < 1e-10:
         raise ResonantEps(f"eps = {eps} is within 1e-10 of an eigenvalue power")
-    denom = lam_s - eps
+    return _solve(params, domain, basis, weights, opts)
 
-    def rhs_fn(u_vals):
-        return _nonlinear_rhs(weights, u_vals, p)
 
-    driver = (_gradient_flow if opts.strategy is Strategy.NORMALIZED_GRADIENT_FLOW
-              else _solve_fixed_point)
-    vals, coeffs, res, it = driver(params, domain, basis, weights, opts,
-                                   rhs_fn, denom)
-    rec = _finalize(params, domain, basis, weights, opts, vals, coeffs, res, it)
-    if not rec.converged:
-        raise NoConvergence(
-            f"residual {rec.residual:.3e} after {rec.iterations} iterations "
-            f"(tol {opts.residual_tol})", record=rec)
-    return rec
+def solve(params: Params, domain: DomainSpec, basis: EigenBasis,
+          weights: RieszWeights, opts: SolveOptions | None = None
+          ) -> SolutionRecord:
+    """solve_subcritical or solve_bn, as params.regime asks."""
+    # looked up in the module namespace at call time, so a replaced
+    # solve_subcritical or solve_bn sees every solve
+    if params.regime is Regime.SUBCRITICAL_HARTREE:
+        return solve_subcritical(params, domain, basis, weights, opts)
+    if params.regime is Regime.BREZIS_NIRENBERG:
+        return solve_bn(params, domain, basis, weights, opts)
+    raise OutOfRange(f"no bounded-domain equation for regime {params.regime}")
 
 
 def residual(u, params: Params, basis: EigenBasis, weights: RieszWeights):
@@ -398,11 +336,7 @@ def residual(u, params: Params, basis: EigenBasis, weights: RieszWeights):
     denom = basis.lambdas ** params.s - eps
     b = analysis(basis, GridField(u_grid.domain,
                                   _nonlinear_rhs(weights, u_grid.values, p))).coeffs
-    num = np.linalg.norm(a * denom - b)
-    den = np.linalg.norm(b)
-    if den == 0.0:
-        return 0.0 if num == 0.0 else math.inf
-    return float(num / den)
+    return _relative_defect(a, denom, b)
 
 
 def energy_quotient(u, params: Params, basis: EigenBasis, weights: RieszWeights):

@@ -12,7 +12,7 @@ import pytest
 
 from fhl import diagnostics, grids, riesz, solver, spectral
 from fhl.model import Regime, make_params
-from fhl.solver import SolveOptions, Strategy
+from fhl.solver import SolveOptions
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ from fhl import riesz, solver, spectral
 from fhl.errors import NoConvergence, OutOfRange, ResonantEps, ZeroField
 from fhl.grids import GridField, interval, rectangle
 from fhl.model import Regime, exponents, make_params
-from fhl.solver import Seed, SolveOptions, Strategy
+from fhl.solver import Seed, SolveOptions
 
 
 @pytest.fixture(scope="module")
@@ -129,15 +129,6 @@ def test_energy_quotient_phi1_against_brute_force(small_setup):
     assert abs(q / q_oracle - 1.0) < 1e-8
 
 
-def test_gradient_flow_strategy(small_setup, small_record):
-    params, dom, basis, weights = small_setup
-    opts = SolveOptions(strategy=Strategy.NORMALIZED_GRADIENT_FLOW,
-                        max_iter=3000, residual_tol=1e-7)
-    rec = solver.solve_subcritical(params, dom, basis, weights, opts)
-    assert rec.residual < 1e-7
-    assert abs(rec.sup_norm / small_record.sup_norm - 1.0) < 1e-4
-
-
 def test_bubble_cap_seed(small_setup, small_record):
     params, dom, basis, weights = small_setup
     opts = SolveOptions(theta=1.0, max_iter=1000, seed=Seed.bubble_cap(5.0))
@@ -241,3 +232,68 @@ def test_mesh_sensitivity_documented(small_setup):
         sups.append(rec.sup_norm)
     drift = abs(sups[1] / sups[0] - 1.0)
     assert 0.02 < drift < 0.5
+
+
+_ROUTES = {
+    # regime: (entry point, n, s, mu, eps) of a small 1-D solve
+    Regime.SUBCRITICAL_HARTREE: ("solve_subcritical", 1, 0.3, 0.4, 0.3),
+    Regime.BREZIS_NIRENBERG: ("solve_bn", 1, 0.2, 0.5, 0.3),
+}
+
+
+@pytest.fixture
+def counted_solves(monkeypatch):
+    """Counting wrappers installed as fhl.solver.solve_subcritical/solve_bn,
+    the way the benchmark's tap installs its own."""
+    calls = []
+    for name in ("solve_subcritical", "solve_bn"):
+        def counted(*args, _name=name, _original=getattr(solver, name), **kw):
+            calls.append(_name)
+            return _original(*args, **kw)
+        monkeypatch.setattr(solver, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("regime", list(_ROUTES), ids=lambda r: r.value)
+def test_every_solve_routes_through_regime_entry(regime, counted_solves,
+                                                 tmp_path, monkeypatch):
+    """solver.solve, diagnostics.continuation and `fhl solve` each reach
+    the regime's entry point through the module attribute."""
+    from fhl import cli, diagnostics
+    name, n, s, mu, eps = _ROUTES[regime]
+    params = make_params(n, s, mu, eps, regime)
+    dom = interval(0.0, 1.0, 128)
+    basis = spectral.build_basis(dom, 32)
+    weights = riesz.build_weights(dom, solver.kernel_exponent(params))
+    opts = SolveOptions(theta=1.0, max_iter=500)
+
+    assert solver.solve(params, dom, basis, weights, opts).converged
+    assert counted_solves == [name]
+    diagnostics.continuation(params, dom, [eps], opts, basis=basis,
+                             weights=weights)
+    assert counted_solves == [name] * 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"regime={regime.value}\nn={n}\ns={s}\nmu={mu}\neps={eps}\n"
+                   "domain.kind=interval\ngrid=128\nmodes=32\ntheta=1.0\n")
+    monkeypatch.setenv("FHL_CACHE_DIR", str(tmp_path / "cache"))
+    assert cli.run_command(["solve", "--config", str(cfg),
+                            "--out", str(tmp_path / "out")]) == 0
+    assert counted_solves == [name] * 3
+
+    other = next(r for r in _ROUTES if r is not regime)
+    _, n2, s2, mu2, eps2 = _ROUTES[other]
+    with pytest.raises(OutOfRange, match="requires"):
+        getattr(solver, name)(make_params(n2, s2, mu2, eps2, other),
+                              dom, basis, weights, opts)
+
+
+def test_solve_rejects_free_space(counted_solves):
+    params = make_params(1, 0.3, 0.4, 0.3, Regime.FREE_SPACE)
+    dom = interval(0.0, 1.0, 64)
+    basis = spectral.build_basis(dom, 16)
+    weights = riesz.build_weights(dom, 0.4)
+    with pytest.raises(OutOfRange, match="no bounded-domain equation"):
+        solver.solve(params, dom, basis, weights)
+    with pytest.raises(OutOfRange, match="no bounded-domain equation"):
+        solver.kernel_exponent(params)
+    assert counted_solves == []
