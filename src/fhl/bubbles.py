@@ -201,19 +201,9 @@ def rescale(u: GridField, sup_norm, argmax, params: Params,
 
 def profile_distance(v: GridField, params: Params, window) -> float:
     """sup over grid points |x| <= window of |v - W[0,1]|."""
-    dom = v.domain
-    axes = dom.axes()
     alpha = constants.alpha_nmus(params.n, params.n - 2.0 * params.s, params.s)
     e = (params.n - 2.0 * params.s) / 2.0
-    if dom.dim == 1:
-        x = axes[0]
-        mask = np.abs(x) <= window
-        if not np.any(mask):
-            raise EmptyWindow(f"no grid points with |x| <= {window}")
-        w_ref = alpha * (1.0 / (1.0 + x[mask] ** 2)) ** e
-        return float(np.max(np.abs(v.values[mask] - w_ref)))
-    gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
-    r2 = gx ** 2 + gy ** 2
+    r2 = sum(x ** 2 for x in v.domain.mesh())
     mask = r2 <= window * window
     if not np.any(mask):
         raise EmptyWindow(f"no grid points with |x| <= {window}")

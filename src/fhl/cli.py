@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -145,19 +146,12 @@ def _json_dump(obj, path):
 
 def _write_solution_csv(path, record):
     dom = record.grid.domain
-    axes = dom.axes()
+    nodes = itertools.product(*dom.axes())   # row-major, like values.ravel()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if dom.dim == 1:
-            writer.writerow(["x", "u"])
-            for x, u in zip(axes[0], record.grid.values):
-                writer.writerow([_FMT % x, _FMT % u])
-        else:
-            writer.writerow(["x", "y", "u"])
-            for i, x in enumerate(axes[0]):
-                for j, y in enumerate(axes[1]):
-                    writer.writerow([_FMT % x, _FMT % y,
-                                     _FMT % record.grid.values[i, j]])
+        writer.writerow(["x", "y"][:dom.dim] + ["u"])
+        for node, u in zip(nodes, record.grid.values.ravel()):
+            writer.writerow([_FMT % c for c in (*node, u)])
 
 
 # --------------------------------------------------------------------------

@@ -123,15 +123,9 @@ def continuation(params: Params, domain: DomainSpec, eps_list, opts=None,
 
 def _domination_constant(v: GridField, params: Params, window):
     """Empirical smallest c with v <= c W[0,1] on the rescaled window."""
-    from . import constants as cst
-    alpha = cst.alpha_nmus(params.n, params.n - 2.0 * params.s, params.s)
+    alpha = constants.alpha_nmus(params.n, params.n - 2.0 * params.s, params.s)
     e = (params.n - 2.0 * params.s) / 2.0
-    axes = v.domain.axes()
-    if v.domain.dim == 1:
-        r2 = axes[0] ** 2
-    else:
-        gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        r2 = gx ** 2 + gy ** 2
+    r2 = sum(x ** 2 for x in v.domain.mesh())
     w_ref = alpha * (1.0 / (1.0 + r2)) ** e
     return float(np.max(np.maximum(v.values, 0.0) / w_ref))
 
@@ -405,10 +399,7 @@ def boundary_bounds(report: ContinuationReport, r):
     """
     if r <= 0.0:
         raise DegenerateStrip(f"strip radius must be positive, got {r}")
-    dom = report.domain
-    b = dom.bounds
-    inradius = (0.5 * (b[1] - b[0]) if dom.dim == 1
-                else 0.5 * min(b[1] - b[0], b[3] - b[2]))
+    inradius = 0.5 * min(report.domain.sides)
     if r >= inradius:
         raise DegenerateStrip(
             f"strip radius {r} reaches the inradius {inradius}; M(Omega, r) empty")

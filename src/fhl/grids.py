@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -51,19 +52,25 @@ class DomainSpec:
         return 1 if self.kind is DomainKind.INTERVAL else 2
 
     @property
-    def sides(self):
+    def shape(self):
+        return (self.n_grid,) * self.dim
+
+    def ranges(self):
+        """Per-axis (lo, hi) bounds."""
         b = self.bounds
-        if self.dim == 1:
-            return (b[1] - b[0],)
-        return (b[1] - b[0], b[3] - b[2])
+        return tuple(zip(b[0::2], b[1::2]))
+
+    @property
+    def sides(self):
+        return tuple(hi - lo for lo, hi in self.ranges())
 
     def axes(self):
         """Per-axis node arrays, endpoints included."""
-        b = self.bounds
-        if self.dim == 1:
-            return (np.linspace(b[0], b[1], self.n_grid),)
-        return (np.linspace(b[0], b[1], self.n_grid),
-                np.linspace(b[2], b[3], self.n_grid))
+        return tuple(np.linspace(lo, hi, self.n_grid) for lo, hi in self.ranges())
+
+    def mesh(self):
+        """Per-axis node coordinates broadcast to the grid shape."""
+        return np.meshgrid(*self.axes(), indexing="ij")
 
     def spacings(self):
         return tuple(side / (self.n_grid - 1) for side in self.sides)
@@ -79,20 +86,12 @@ class DomainSpec:
 
     def node_weights(self):
         """Full tensor-product quadrature weights matching values' shape."""
-        w = self.trap_weights()
-        if self.dim == 1:
-            return w[0]
-        return w[0][:, None] * w[1][None, :]
+        return reduce(np.multiply.outer, self.trap_weights())
 
     def interior_mask(self, margin):
         """Boolean mask of nodes at distance >= margin from the boundary."""
-        axes = self.axes()
-        b = self.bounds
-        if self.dim == 1:
-            x = axes[0]
-            return (x - b[0] >= margin) & (b[1] - x >= margin)
-        X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
-        dist = np.minimum.reduce([X - b[0], b[1] - X, Y - b[2], b[3] - Y])
+        dist = np.minimum.reduce([d for (lo, hi), x in zip(self.ranges(), self.mesh())
+                                  for d in (x - lo, hi - x)])
         return dist >= margin
 
 
@@ -105,8 +104,7 @@ class GridField:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        shape = ((self.domain.n_grid,) if self.domain.dim == 1
-                 else (self.domain.n_grid, self.domain.n_grid))
+        shape = self.domain.shape
         if vals.shape != shape:
             raise GridMismatch(
                 f"values shape {vals.shape} does not match grid {shape}")
@@ -130,11 +128,8 @@ class GridField:
 
     def argmax_point(self):
         """Grid node where the field attains its maximum."""
-        axes = self.domain.axes()
-        if self.domain.dim == 1:
-            return (float(axes[0][int(np.argmax(self.values))]),)
-        i, j = np.unravel_index(int(np.argmax(self.values)), self.values.shape)
-        return (float(axes[0][i]), float(axes[1][j]))
+        idx = np.unravel_index(int(np.argmax(self.values)), self.values.shape)
+        return tuple(float(x[i]) for x, i in zip(self.domain.axes(), idx))
 
 
 def interval(a, b, n_grid) -> DomainSpec:

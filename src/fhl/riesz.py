@@ -37,7 +37,6 @@ from .errors import (DivergentTail, GridMismatch, KernelNotIntegrable,
                      OutOfRange, QuadratureFailure)
 from .grids import DomainKind, DomainSpec, GridField
 
-_MAX_DENSE_1D = 4096
 _MAX_GRID_2D = 512
 
 _GAUSS_FAR = np.polynomial.legendre.leggauss(12)
@@ -303,13 +302,8 @@ def build_weights(domain: DomainSpec, mu) -> RieszWeights:
         raise KernelNotIntegrable(
             f"kernel |x-t|^(-mu) needs 0 < mu < {dim} on a {dim}-D domain, got mu = {mu}")
     if dim == 1:
-        n = domain.n_grid
-        if n > _MAX_DENSE_1D:
-            raise OutOfRange(
-                f"1-D weights capped at N = {_MAX_DENSE_1D}; "
-                f"reduce the grid resolution (got {n})")
         scale = domain.spacings()[0] ** (1.0 - mu) / ((1.0 - mu) * (2.0 - mu))
-        gen, left, right = _hat_weights(n, 2.0 - mu, False, scale)
+        gen, left, right = _hat_weights(domain.n_grid, 2.0 - mu, False, scale)
         return RieszWeights(mu=mu, domain=domain, offsets=gen, edge_x=left,
                             edge_y=right, spectrum=_toeplitz_spectrum(gen))
     if domain.n_grid > _MAX_GRID_2D:

@@ -101,9 +101,7 @@ class SolutionRecord:
 
 
 def _interior_min(vals):
-    if vals.ndim == 1:
-        return float(np.min(vals[1:-1]))
-    return float(np.min(vals[1:-1, 1:-1]))
+    return float(np.min(vals[(slice(1, -1),) * vals.ndim]))
 
 
 def _problem_terms(params: Params):
@@ -145,22 +143,14 @@ def _seed_values(seed: Seed, params, domain, basis):
         return seed.field.values.copy()
     if seed.kind == "bubble_cap":
         alpha = constants.alpha_nmus(params.n, params.mu, params.s)
-        axes = domain.axes()
         e = (params.n - 2.0 * params.s) / 2.0
         lam = seed.lam0
-        if domain.dim == 1:
-            a, b = domain.bounds
-            r2 = (axes[0] - 0.5 * (a + b)) ** 2
-        else:
-            ax, bx, ay, by = domain.bounds
-            gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
-            r2 = (gx - 0.5 * (ax + bx)) ** 2 + (gy - 0.5 * (ay + by)) ** 2
+        r2 = sum((x - 0.5 * (lo + hi)) ** 2
+                 for (lo, hi), x in zip(domain.ranges(), domain.mesh()))
         cap = alpha * (lam / (1.0 + lam * lam * r2)) ** e
         # pin Dirichlet boundary values
-        if domain.dim == 1:
-            cap[0] = cap[-1] = 0.0
-        else:
-            cap[0, :] = cap[-1, :] = cap[:, 0] = cap[:, -1] = 0.0
+        for axis in range(cap.ndim):
+            np.moveaxis(cap, axis, 0)[[0, -1]] = 0.0
         return cap
     coeffs = np.zeros(basis.K)
     coeffs[0] = 1.0
@@ -223,17 +213,12 @@ def _parabolic_peak(vals, idx):
             return b
         return b - 0.125 * (c - a) ** 2 / denom
 
-    if vals.ndim == 1:
-        i = idx[0]
-        if 0 < i < len(vals) - 1:
-            return fit(vals[i - 1], vals[i], vals[i + 1])
-        return vals[i]
-    i, j = idx
-    best = vals[i, j]
-    if 0 < i < vals.shape[0] - 1:
-        best = max(best, fit(vals[i - 1, j], vals[i, j], vals[i + 1, j]))
-    if 0 < j < vals.shape[1] - 1:
-        best = max(best, fit(vals[i, j - 1], vals[i, j], vals[i, j + 1]))
+    best = vals[idx]
+    for axis, i in enumerate(idx):
+        if 0 < i < vals.shape[axis] - 1:
+            lo = idx[:axis] + (i - 1,) + idx[axis + 1:]
+            hi = idx[:axis] + (i + 1,) + idx[axis + 1:]
+            best = max(best, fit(vals[lo], vals[idx], vals[hi]))
     return best
 
 

@@ -13,6 +13,7 @@ multiples of the cutoff length 1/sqrt(lambda_K).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -22,9 +23,9 @@ from scipy.fft import dst
 from . import constants
 from .errors import (DiagonalEvaluation, ExtrapolationDiverged,
                      NoCriticalPoint, OutOfRange, UnderResolved)
-from .grids import DomainKind, DomainSpec, GridField
+from .grids import DomainSpec, GridField
 
-_MAX_SAMPLED = 1 << 25   # cap on K*N entries for the sampled mode table
+_MAX_SAMPLED = 1 << 25   # cap on the entries of the sampled sine tables
 _MOLL_C = 8.0            # Gaussian mollifier strength exp(-c (lam/lamK)^2)
 _FLOOR_C = 22.0          # resolution floor of the mollified 2-D sum
 
@@ -37,62 +38,52 @@ class EigenBasis:
     K: int
     lambdas: np.ndarray               # sorted ascending
     modes: np.ndarray                 # (K,) k indices or (K,2) (kx,ky) pairs
-    _phi_grid: np.ndarray | None = field(default=None, repr=False)
     _sine_tables: tuple | None = field(default=None, repr=False)
 
     @property
     def dim(self):
         return self.domain.dim
 
-    def phi_grid(self):
-        """Sampled eigenfunctions on the grid; K x N (interval only).
-
-        The dense oracle of the 1-D transforms, which use DST-I instead.
-        """
-        if self.dim != 1:
-            raise OutOfRange("sampled mode matrix is materialized per axis in 2-D")
-        if self._phi_grid is None:
-            n = self.domain.n_grid
-            if self.K * n > _MAX_SAMPLED:
-                raise OutOfRange(
-                    f"sampled mode table K*N = {self.K * n} exceeds the cap; "
-                    "use series evaluation instead")
-            a, b = self.domain.bounds
-            length = b - a
-            x = self.domain.axes()[0]
-            k = self.modes.astype(float)
-            self._phi_grid = math.sqrt(2.0 / length) * np.sin(
-                np.outer(k, (x - a)) * math.pi / length)
-        return self._phi_grid
+    def _axis_modes(self):
+        """Per-axis mode indices k of the K modes; (dim, K)."""
+        return self.modes.reshape(self.K, self.dim).T
 
     def sine_tables(self):
-        """Per-axis 1-D sine tables (K_axis x N) for separable transforms."""
+        """Per-axis sampled sine modes k = 1 .. k_max (k_max x N).
+
+        The endpoint columns are exact zeros (sin k pi = 0).  On an interval
+        the one table is the whole K x N mode matrix, the dense oracle of
+        the DST-I transforms; on a rectangle the tables drive the separable
+        transforms.
+        """
         if self._sine_tables is None:
-            axes = self.domain.axes()
+            kmax = [int(k.max()) for k in self._axis_modes()]
+            entries = sum(kmax) * self.domain.n_grid
+            if entries > _MAX_SAMPLED:
+                raise OutOfRange(
+                    f"sampled sine tables of {entries} entries exceed the cap; "
+                    "use series evaluation instead")
             tables = []
-            for d in range(self.dim):
-                a = self.domain.bounds[2 * d]
-                length = self.domain.sides[d]
-                kmax = int(self.modes[:, d].max()) if self.dim == 2 else int(self.modes.max())
-                k = np.arange(1, kmax + 1, dtype=float)
-                tables.append(math.sqrt(2.0 / length) * np.sin(
-                    np.outer(k, (axes[d] - a)) * math.pi / length))
+            for k_top, (lo, _), length, x in zip(kmax, self.domain.ranges(),
+                                                 self.domain.sides, self.domain.axes()):
+                k = np.arange(1, k_top + 1, dtype=float)
+                table = math.sqrt(2.0 / length) * np.sin(
+                    np.outer(k, (x - lo)) * math.pi / length)
+                table[:, [0, -1]] = 0.0
+                tables.append(table)
             self._sine_tables = tuple(tables)
         return self._sine_tables
 
     def phi_at(self, point):
         """phi_k(point) for all K modes at one interior point; O(K)."""
-        if self.dim == 1:
-            a, b = self.domain.bounds
-            length = b - a
-            k = self.modes.astype(float)
-            return math.sqrt(2.0 / length) * np.sin(k * math.pi * (point[0] - a) / length)
-        ax, bx, ay, by = self.domain.bounds
-        lx, ly = bx - ax, by - ay
-        kx = self.modes[:, 0].astype(float)
-        ky = self.modes[:, 1].astype(float)
-        return (math.sqrt(2.0 / lx) * np.sin(kx * math.pi * (point[0] - ax) / lx)
-                * math.sqrt(2.0 / ly) * np.sin(ky * math.pi * (point[1] - ay) / ly))
+        # one factor at a time, left to right: regrouping the product moves
+        # the rectangle's Green values in the last bit
+        vals = 1.0
+        for k, (lo, _), length, x in zip(self._axis_modes(), self.domain.ranges(),
+                                         self.domain.sides, point):
+            vals = vals * math.sqrt(2.0 / length) * np.sin(
+                k * math.pi * (x - lo) / length)
+        return vals
 
 
 @dataclass
@@ -196,19 +187,13 @@ def solve_As(rhs: SpectralField, s) -> SpectralField:
 
 
 def gram_defect(basis: EigenBasis):
-    """Max |Gram - I| entry of the sampled modes under the trapezoid product."""
-    if basis.dim == 1:
-        phi = basis.phi_grid()
-        w = basis.domain.trap_weights()[0]
-        g = phi @ (w[:, None] * phi.T)
-    else:
-        sx, sy = basis.sine_tables()
-        wx, wy = basis.domain.trap_weights()
-        gx = sx @ (wx[:, None] * sx.T)
-        gy = sy @ (wy[:, None] * sy.T)
-        kx = basis.modes[:, 0] - 1
-        ky = basis.modes[:, 1] - 1
-        g = gx[np.ix_(kx, kx)] * gy[np.ix_(ky, ky)]
+    """Max |Gram - I| entry of the sampled modes under the trapezoid product,
+    the product over axes of the per-axis Grams."""
+    g = 1.0
+    for table, w, k in zip(basis.sine_tables(), basis.domain.trap_weights(),
+                           basis._axis_modes()):
+        gram = table @ (w[:, None] * table.T)
+        g = g * gram[np.ix_(k - 1, k - 1)]
     return float(np.max(np.abs(g - np.eye(basis.K))))
 
 
@@ -262,9 +247,13 @@ def _green_rectangle(basis: EigenBasis, s, p, q):
 
 
 def _as_point(x, dim):
-    if np.isscalar(x):
-        return (float(x),) if dim == 1 else None
-    return tuple(float(v) for v in x)
+    """x as a tuple of dim floats; a scalar is a point of an interval."""
+    p = np.atleast_1d(np.asarray(x, dtype=float))
+    if p.shape != (dim,):
+        raise OutOfRange(
+            f"expected a point with {dim} coordinate(s) matching the domain "
+            f"dimension, got {x!r}")
+    return tuple(float(v) for v in p)
 
 
 def green_detail(basis: EigenBasis, s, x, y):
@@ -272,8 +261,6 @@ def green_detail(basis: EigenBasis, s, x, y):
     dim = basis.dim
     p = _as_point(x, dim)
     q = _as_point(y, dim)
-    if p is None or q is None or len(p) != dim or len(q) != dim:
-        raise OutOfRange("green expects points matching the domain dimension")
     if p == q:
         raise DiagonalEvaluation(
             "green is singular on the diagonal; use robin for the regular part")
@@ -288,14 +275,9 @@ def green(basis: EigenBasis, s, x, y):
     return green_detail(basis, s, x, y)[0]
 
 
-def _require_interior(domain, p, strict=True):
-    b = domain.bounds
-    if domain.dim == 1:
-        inside = b[0] < p[0] < b[1]
-    else:
-        inside = b[0] < p[0] < b[1] and b[2] < p[1] < b[3]
-    if not inside:
-        raise OutOfRange(f"point {p} is not interior to the domain {b}")
+def _require_interior(domain, p):
+    if not all(lo < x < hi for (lo, hi), x in zip(domain.ranges(), p)):
+        raise OutOfRange(f"point {p} is not interior to the domain {domain.bounds}")
 
 
 # --------------------------------------------------------------------------
@@ -326,11 +308,7 @@ def robin_detail(basis: EigenBasis, s, x, delta0=None):
         raise OutOfRange(f"robin requires 0 < n - 2s < n, got n = {n}, s = {s}")
     gam = constants.gamma_ns(n, s)
     floor = resolution_floor(basis)
-    b = basis.domain.bounds
-    if dim == 1:
-        dist = min(p[0] - b[0], b[1] - p[0])
-    else:
-        dist = min(p[0] - b[0], b[1] - p[0], p[1] - b[2], b[3] - p[1])
+    dist = min(min(x - lo, hi - x) for (lo, hi), x in zip(basis.domain.ranges(), p))
     d0 = delta0 if delta0 is not None else max(
         4.2 * floor, 0.04 * min(basis.domain.sides))
     d0 = min(d0, 0.9 * dist)
@@ -376,38 +354,24 @@ def robin(basis: EigenBasis, s, x, delta0=None):
 def critical_points_from_values(grids_axes, phi_values):
     """Grid points where the centered-difference gradient changes sign in
     every axis; ties broken by smallest gradient magnitude."""
-    if len(grids_axes) == 1:
-        x = np.asarray(grids_axes[0])
-        phi = np.asarray(phi_values)
-        g = np.gradient(phi, x)
-        flags = np.zeros(len(x), dtype=bool)
-        sign_change = g[:-1] * g[1:] <= 0.0
-        flags[:-1] |= sign_change
-        flags[1:] |= sign_change
-        idx = np.nonzero(flags)[0]
-        if len(idx) == 0:
-            raise NoCriticalPoint("gradient has no sign change on the grid")
-        order = np.argsort(np.abs(g[idx]), kind="stable")
-        return [(float(x[i]),) for i in idx[order]]
-    xa, ya = (np.asarray(g) for g in grids_axes)
+    axes = [np.asarray(x) for x in grids_axes]
     phi = np.asarray(phi_values)
-    gx = np.gradient(phi, xa, axis=0)
-    gy = np.gradient(phi, ya, axis=1)
-    fx = np.zeros(phi.shape, dtype=bool)
-    sc = gx[:-1, :] * gx[1:, :] <= 0.0
-    fx[:-1, :] |= sc
-    fx[1:, :] |= sc
-    fy = np.zeros(phi.shape, dtype=bool)
-    sc = gy[:, :-1] * gy[:, 1:] <= 0.0
-    fy[:, :-1] |= sc
-    fy[:, 1:] |= sc
-    flags = fx & fy
-    ii, jj = np.nonzero(flags)
-    if len(ii) == 0:
+    grads = [np.gradient(phi, x, axis=d) for d, x in enumerate(axes)]
+    flags = np.ones(phi.shape, dtype=bool)
+    for d, g in enumerate(grads):
+        changes = np.zeros(phi.shape, dtype=bool)
+        g_d, c_d = np.moveaxis(g, d, 0), np.moveaxis(changes, d, 0)
+        sc = g_d[:-1] * g_d[1:] <= 0.0
+        c_d[:-1] |= sc
+        c_d[1:] |= sc
+        flags &= changes
+    idx = np.nonzero(flags)
+    if len(idx[0]) == 0:
         raise NoCriticalPoint("gradient has no sign change on the grid")
-    mag = np.abs(gx[ii, jj]) + np.abs(gy[ii, jj])
+    mag = sum(np.abs(g[idx]) for g in grads)
     order = np.argsort(mag, kind="stable")
-    return [(float(xa[i]), float(ya[j])) for i, j in zip(ii[order], jj[order])]
+    return [tuple(float(x[i]) for x, i in zip(axes, node))
+            for node in zip(*(i[order] for i in idx))]
 
 
 def robin_critical_points(basis: EigenBasis, s, grid_axes, delta0=None):
@@ -415,10 +379,6 @@ def robin_critical_points(basis: EigenBasis, s, grid_axes, delta0=None):
 
     grid_axes: per-axis arrays of interior evaluation points.
     """
-    if basis.dim == 1:
-        xs = np.asarray(grid_axes[0])
-        phi = np.array([robin(basis, s, (x,), delta0) for x in xs])
-        return critical_points_from_values((xs,), phi)
-    xs, ys = (np.asarray(g) for g in grid_axes)
-    phi = np.array([[robin(basis, s, (x, y), delta0) for y in ys] for x in xs])
-    return critical_points_from_values((xs, ys), phi)
+    axes = [np.asarray(x) for x in grid_axes]
+    phi = np.array([robin(basis, s, pt, delta0) for pt in itertools.product(*axes)])
+    return critical_points_from_values(axes, phi.reshape([len(x) for x in axes]))

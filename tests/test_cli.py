@@ -135,3 +135,21 @@ def test_report_emission(tmp_path, monkeypatch):
         assert (tmp_path / "plots" / f"{name}.csv").exists()
         svg = (tmp_path / "plots" / f"{name}.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+
+def test_solve_rectangle_csv(tmp_path, monkeypatch):
+    monkeypatch.setenv("FHL_CACHE_DIR", str(tmp_path / "cache"))
+    cfg_path = tmp_path / "rect.cfg"
+    cfg_path.write_text("regime=subcritical\nn=2\ns=0.45\nmu=1.1\neps=0.2\n"
+                        "domain.kind=rectangle\ndomain.bx=1.4\ndomain.by=0.9\n"
+                        "grid=32\nmodes=64\ntheta=1.0\nmax_iter=2000\n")
+    rc = run_command(["solve", "--config", str(cfg_path),
+                      "--out", str(tmp_path / "out")])
+    assert rc == 0
+    lines = (tmp_path / "out" / "solution.csv").read_text().splitlines()
+    assert lines[0] == "x,y,u"
+    assert len(lines) == 1 + 32 * 32
+    # row-major: y runs fastest
+    assert [tuple(map(float, row.split(",")[:2])) for row in lines[1:3]] == [
+        (0.0, 0.0), (0.0, pytest.approx(0.9 / 31, rel=1e-11))]
+    assert tuple(map(float, lines[-1].split(",")[:2])) == (1.4, 0.9)

@@ -1,8 +1,9 @@
 """The O(N log N) 1-D operators against the dense builders they replaced.
 
-`riesz._build_1d`, `riesz.moment_weights_1d` and `EigenBasis.phi_grid` stay
-as oracles: property tests over random N, mu and fields, plus one check
-at the largest 1-D grid, N = 4096, with the sweep's kernel exponent.
+`riesz._build_1d`, `riesz.moment_weights_1d` and `EigenBasis.sine_tables`
+(on an interval, the dense K x N mode matrix) stay as oracles: property
+tests over random N, mu and fields, plus one check at the sweep's grid,
+N = 4096, with the sweep's kernel exponent.
 """
 
 import numpy as np
@@ -57,7 +58,7 @@ def test_moment_apply_matches_dense(n, mu, length, seed):
 def test_sine_transforms_match_phi_grid(n, frac, length, seed):
     dom = interval(-0.5, length - 0.5, n)
     basis = spectral.build_basis(dom, 1 + int(frac * (n // 2 - 1)))
-    phi = basis.phi_grid()
+    phi = basis.sine_tables()[0]
     rng = np.random.default_rng(seed)
     u = rng.normal(size=n)
     u[0] = u[-1] = 0.0
@@ -98,7 +99,7 @@ def test_moment_apply_at_4096(grid_4096):
 def test_sine_transforms_at_4096(grid_4096):
     dom, f = grid_4096
     basis = spectral.build_basis(dom, 1024)
-    phi = basis.phi_grid()
+    phi = basis.sine_tables()[0]
     w = dom.trap_weights()[0]
     u = f.copy()
     u[0] = u[-1] = 0.0

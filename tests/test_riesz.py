@@ -136,9 +136,14 @@ def test_2d_cap():
         riesz.build_weights(rectangle(0, 1, 0, 1, 1024), 1.1)
 
 
-def test_1d_cap():
-    with pytest.raises(OutOfRange, match="reduce the grid"):
-        riesz.build_weights(interval(0, 1, 8192), 0.4)
+def test_weight_row_mass_1d_large_grid():
+    # the Toeplitz weights build in O(N), so 1-D grids have no size cap
+    n = 2 ** 15 + 1
+    dom = interval(0.0, 1.0, n)
+    w = riesz.build_weights(dom, 0.4)
+    mass = riesz.convolve(w, GridField(dom, np.ones(n))).values
+    exact = mass_oracle_1d(dom.axes()[0], 0.0, 1.0, 0.4)
+    assert np.max(np.abs(mass - exact)) < 1e-12
 
 
 def test_riesz_at_center_bubble_cube():

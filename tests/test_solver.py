@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fhl import riesz, solver, spectral
+from fhl import constants, riesz, solver, spectral
 from fhl.errors import NoConvergence, OutOfRange, ResonantEps, ZeroField
 from fhl.grids import GridField, interval, rectangle
 from fhl.model import Regime, exponents, make_params
@@ -297,3 +297,24 @@ def test_solve_rejects_free_space(counted_solves):
     with pytest.raises(OutOfRange, match="no bounded-domain equation"):
         solver.kernel_exponent(params)
     assert counted_solves == []
+
+
+@pytest.mark.parametrize("dom, centre", [
+    (interval(0.0, 1.4, 33), (16,)),
+    (rectangle(0.0, 1.4, 0.0, 0.9, 33), (16, 16)),
+], ids=["interval", "rectangle"])
+def test_bubble_cap_seed_values(dom, centre):
+    n = dom.dim
+    params = make_params(n, 0.45, n - 0.9, 0.2, Regime.SUBCRITICAL_HARTREE)
+    basis = spectral.build_basis(dom, 16)
+    lam0 = 6.0
+    cap = solver._seed_values(Seed.bubble_cap(lam0), params, dom, basis)
+    assert cap.shape == (33,) * n
+    for axis in range(n):
+        edges = np.moveaxis(cap, axis, 0)[[0, -1]]
+        assert np.all(edges == 0.0)
+    # the odd grid puts a node on the centre, where the cap is alpha lam0^e
+    alpha = constants.alpha_nmus(n, params.mu, params.s)
+    peak = alpha * lam0 ** ((n - 0.9) / 2.0)
+    assert cap[centre] == pytest.approx(peak, rel=1e-14)
+    assert float(np.max(cap)) == cap[centre]

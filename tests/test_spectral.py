@@ -180,3 +180,29 @@ def test_critical_points_symmetric_rectangle():
     pts = spectral.critical_points_from_values((xs, ys), phi)
     h = xs[1] - xs[0]
     assert math.hypot(pts[0][0] - 0.5, pts[0][1] - 0.5) <= math.hypot(h, h) + 1e-12
+
+
+def test_rectangle_synthesis_exact_dirichlet_zeros():
+    # sin(k pi) = 0 is written exactly, so the Riesz apply can skip the
+    # strip passes of the x = b and y = b edges
+    basis = spectral.build_basis(rectangle(0.0, 1.4, 0.0, 0.9, 48), 300)
+    rng = np.random.default_rng(5)
+    v = spectral.synthesis(SpectralField(basis, rng.normal(size=300))).values
+    for edge in (v[0, :], v[-1, :], v[:, 0], v[:, -1]):
+        assert np.all(edge == 0.0)
+    assert np.max(np.abs(v)) > 1.0
+
+
+@pytest.mark.parametrize("dom, point", [
+    (interval(0.0, 1.0, 256), ()),
+    (interval(0.0, 1.0, 256), (0.5, 0.5)),
+    (rectangle(0.0, 1.4, 0.0, 0.9, 64), 0.5),
+    (rectangle(0.0, 1.4, 0.0, 0.9, 64), (0.5,)),
+    (rectangle(0.0, 1.4, 0.0, 0.9, 64), (0.5, 0.5, 0.5)),
+], ids=["1d-short", "1d-long", "2d-scalar", "2d-short", "2d-long"])
+def test_robin_point_dimension_mismatch(dom, point):
+    basis = spectral.build_basis(dom, 32)
+    with pytest.raises(OutOfRange, match="domain dimension"):
+        spectral.robin_detail(basis, 0.3, point)
+    with pytest.raises(OutOfRange, match="domain dimension"):
+        spectral.green_detail(basis, 0.3, point, (0.25,) * dom.dim)
