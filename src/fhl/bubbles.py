@@ -8,7 +8,6 @@ alpha_nmus for the Hartree extremal.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,7 @@ import numpy as np
 from . import constants, riesz
 from .errors import (DegenerateScale, EmptyWindow, EvaluationAtOrigin,
                      OutOfRange)
-from .grids import DomainKind, DomainSpec, GridField, interval, rectangle
+from .grids import GridField, interval, rectangle
 from .model import Params, exponents
 
 
@@ -47,15 +46,23 @@ class Bubble:
         return constants.alpha_nmus(p.n, p.mu, p.s)
 
 
+def _as_points(x, n):
+    """x as an array whose last axis holds n coordinates; a scalar is a
+    point only when n = 1."""
+    x = np.asarray(x, dtype=float)
+    x = x.reshape(1) if x.shape == () and n == 1 else x
+    if x.shape[-1:] != (n,):
+        raise OutOfRange(f"expected points with {n} coordinate(s), got {x!r}")
+    return x
+
+
 def eval_bubble(bubble: Bubble, x):
     """amplitude * (lambda/(1+lambda^2 |x-xi|^2))^{(n-2s)/2}; vectorized.
 
     x is a point (length-n sequence) or an array whose last axis has length n.
     """
     p = bubble.params
-    x = np.asarray(x, dtype=float)
-    if x.shape == () and p.n == 1:
-        x = x.reshape(1)
+    x = _as_points(x, p.n)
     xi = np.asarray(bubble.xi)
     r2 = np.sum((x - xi) ** 2, axis=-1)
     lam = bubble.lam
@@ -80,9 +87,7 @@ def kelvin(f, params: Params):
     n, s = params.n, params.s
 
     def g(x):
-        x = np.asarray(x, dtype=float)
-        if x.shape == () and n == 1:
-            x = x.reshape(1)
+        x = _as_points(x, n)
         r2 = np.sum(x ** 2, axis=-1)
         if np.any(r2 == 0.0):
             raise EvaluationAtOrigin("Kelvin transform is undefined at the origin")
@@ -145,15 +150,15 @@ def hls_quotient(bubble: Bubble):
     return d_val ** (1.0 - 1.0 / exp.two_star)
 
 
-def hls_tail_bound(bubble: Bubble, radius=None):
-    """Crude bound on the truncated-tail mass of INT W^{2#} beyond a radius.
+def hls_tail_bound(bubble: Bubble):
+    """Crude bound on the truncated-tail mass of INT W^{2#} beyond R = 1e4.
 
     W^{2#} ~ r^{-2n}, so the tail beyond R is below sigma_n amp^{2#}
     lam^{-n} R^{-n} / n; reported by the CLI next to the quotient.
     """
     p = bubble.params
     exp = exponents(p)
-    r = radius if radius is not None else 1.0e4
+    r = 1.0e4
     amp = bubble.amplitude
     from .constants import sigma_n
     return sigma_n(p.n) * amp ** exp.two_sharp * bubble.lam ** (-p.n) * r ** (-p.n) / p.n

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, bubbles, constants, diagnostics, riesz, solver, spectral
 from .errors import (ConfigError, FHLError, MissingRequired, NumericalError,
                      UnknownKey, ValidationError, WrongType)
-from .grids import DomainKind, GridField, interval, rectangle
+from .grids import GridField, interval, rectangle
 from .model import Regime, make_params
 from .solver import Seed, SolveOptions
 

@@ -10,7 +10,7 @@ reach at desk scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,8 +75,8 @@ def _rate_lhs(params: Params, eps, sup):
 
 
 def continuation(params: Params, domain: DomainSpec, eps_list, opts=None,
-                 basis=None, weights=None, window=3.0, strip_cells=10,
-                 profile_points=241) -> ContinuationReport:
+                 basis=None, weights=None, window=3.0,
+                 strip_cells=10) -> ContinuationReport:
     """Warm-started solves over a strictly decreasing eps schedule."""
     eps_list = [float(e) for e in eps_list]
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
@@ -100,7 +100,7 @@ def continuation(params: Params, domain: DomainSpec, eps_list, opts=None,
         seed = Seed.warm_start(rec.grid)
         report.records.append(rec)
         v = bubbles.rescale(rec.grid, rec.sup_norm, rec.argmax, p_eps,
-                            window=window, m_out=profile_points)
+                            window=window)
         pdist = bubbles.profile_distance(v, p_eps, window)
         strip_sup, interior_l1 = _strip_quantities(rec, report.strip_margin)
         report.derived.append({
@@ -205,7 +205,7 @@ def green_limit_check(record: SolutionRecord, basis, s, x0, sample_points):
     b = constants.small_b_ns(record.params.n, record.params.s)
     axes = dom.axes()
     for x in sample_points:
-        pt = (float(x),) if np.isscalar(x) else tuple(float(v) for v in x)
+        pt = spectral._as_point(x, dom.dim)
         dist = math.sqrt(sum((a - b0) ** 2 for a, b0 in zip(pt, x0)))
         if dist < 4.0 * h:
             raise SampleTooClose(
@@ -295,22 +295,21 @@ def _moment_double_2d(f: GridField, mu):
     return float(np.sum(w * f.values * (gx * cx + gy * cy)))
 
 
-def pohozaev_balance(record: SolutionRecord, params: Params, basis, weights,
-                     r, q=None):
+def pohozaev_balance(record: SolutionRecord, params: Params, basis, weights, r):
     """Interior Pohozaev term against its computable majorants.
 
     interior = (n/p - (n-2s)/2) INT_{M(r/2) x Omega} kernel u^p u^p;
-    the remainder tuple holds the strip q-norm term, the squared interior
-    L1 term, the strip energy term, and the dilation-moment term.  The
-    extension-surface integrals are deliberately replaced by these
-    computable majorants; the returned gap is interior / max(sum, floor).
+    the remainder tuple holds the strip q-norm term (q = floor(n/s) + 1),
+    the squared interior L1 term, the strip energy term, and the
+    dilation-moment term.  The extension-surface integrals are deliberately
+    replaced by these computable majorants; the returned gap is
+    interior / max(sum, floor).
     """
     dom = record.grid.domain
     n, s = params.n, params.s
     p = exponents(params).p_sub if params.regime is Regime.SUBCRITICAL_HARTREE \
         else exponents(params).two_star
-    if q is None:
-        q = math.floor(n / s) + 1
+    q = math.floor(n / s) + 1
     interior_mask = dom.interior_mask(r / 2.0)
     if not np.any(interior_mask):
         raise EmptyInterior(f"M(Omega, {r/2}) contains no grid nodes")

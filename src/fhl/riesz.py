@@ -11,10 +11,13 @@ O(N log N).  The dense builders `_build_1d` and `moment_weights_1d` stay as
 test oracles.
 
 2-D weights are piecewise-constant product integration over node-centered
-cells clipped to the domain.  Uniform spacing makes the full-cell integrals
-a function of the node offset only, so they are stored as an offset table
-and applied as a discrete convolution; boundary-cell clipping is restored
-exactly through per-edge strip tables and per-corner fields.  Documented
+cells clipped to the domain.  Uniform spacing makes every cell integral a
+function of the node offset only, and every clipped cell is a union of
+reflected quarter cells, so one Gauss table over the quarter cell gives the
+full-cell offset table, the per-edge strip tables and the per-corner fields
+by sums, flips and slices.  The offset table is applied as a discrete
+convolution through the same zero-padded real FFT as in 1-D; boundary-cell
+clipping is restored exactly through the strips and corners.  Documented
 accuracy is O(h) near the singularity, which is what the desk-scale solver
 configurations need.
 """
@@ -29,13 +32,13 @@ import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from scipy.fft import irfftn, next_fast_len, rfftn
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
 from .errors import (DivergentTail, GridMismatch, KernelNotIntegrable,
                      OutOfRange, QuadratureFailure)
-from .grids import DomainKind, DomainSpec, GridField
+from .grids import DomainSpec, GridField
 
 _MAX_GRID_2D = 512
 
@@ -52,14 +55,19 @@ class RieszWeights:
     # never set: no layout stores dense rows; readers of weights
     # (benchmarks/spans.py) test it to pick the layout's byte count
     matrix: np.ndarray | None = None
-    # 2-D: full-cell offset table, strip tables of the x- and y-overhangs.
+    # 2-D: full-cell offset table, strip tables of the x- and y-overhangs
+    # and corner fields, all derived from one quarter-cell table (_build_2d).
     # 1-D: generator by column-minus-row offset + N - 1, and the corrections
     # of the first and last columns (half hats minus full hats).
     offsets: np.ndarray | None = None
     edge_x: np.ndarray | None = None
     edge_y: np.ndarray | None = None
     corners: dict = field(default_factory=dict)
-    spectrum: np.ndarray | None = field(default=None, repr=False)  # 1-D FFT
+    # set from offsets, so cache loads carry it too
+    spectrum: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.spectrum = _spectrum(self.offsets)
 
 
 # --------------------------------------------------------------------------
@@ -134,26 +142,24 @@ def _fft_len(n):
     return next_fast_len(2 * n - 1, real=True)
 
 
-def _toeplitz_spectrum(generator):
-    """Real FFT of the flipped generator, zero-padded to `_fft_len`.
+def _spectrum(offsets):
+    """Real FFT of an offset table flipped on every axis, zero-padded per axis.
 
-    Entry (i, j) of the operator is generator[j - i + N - 1]; flipping turns
-    the row sums into a convolution.  The orientation matters for the odd
-    moment kernel, which a flipped generator would negate.
+    Along an axis, entry (i, j) of the operator is offsets[j - i + N - 1];
+    flipping turns the row sums into a convolution.  The orientation matters
+    for the odd moment kernel (the 2-D table is even on both axes).
     """
-    n = (len(generator) + 1) // 2
-    return rfft(generator[::-1], _fft_len(n))
+    return rfftn(np.flip(offsets), [_fft_len((m + 1) // 2) for m in offsets.shape])
 
 
-def _toeplitz_apply(spectrum, left, right, values):
-    """Toeplitz product plus the two end-column corrections.
-
-    Applies along the last axis, so a stack of fields goes in one call.
-    """
+def _fft_apply(spectrum, values):
+    """The operator of `_spectrum` applied over the last spectrum.ndim axes
+    of values, so a stack of fields goes in one call."""
     n = values.shape[-1]
-    size = _fft_len(n)
-    out = irfft(rfft(values, size) * spectrum, size)[..., n - 1:2 * n - 1]
-    return out + values[..., :1] * left + values[..., -1:] * right
+    axes = tuple(range(-spectrum.ndim, 0))
+    size = [_fft_len(n)] * spectrum.ndim
+    out = irfftn(rfftn(values, size, axes=axes) * spectrum, size, axes=axes)
+    return out[(...,) + (slice(n - 1, 2 * n - 1),) * spectrum.ndim]
 
 
 # --------------------------------------------------------------------------
@@ -170,123 +176,47 @@ def _singular_quadrant(a, b, mu):
     return (i1 + i2) / (2.0 - mu)
 
 
-def _gauss_cell(dx, dy, hx, hy, mu, rule):
-    """Kernel integral over the hx-by-hy cell at offsets (dx, dy); vectorized."""
-    gx, gw = rule
-    nx = 0.5 * hx * gx
-    ny = 0.5 * hy * gx
-    wx = 0.5 * hx * gw
-    wy = 0.5 * hy * gw
-    out = np.zeros(np.broadcast(dx, dy).shape)
-    for a in range(len(gx)):
-        for b in range(len(gx)):
-            r = np.hypot(dx - nx[a], dy - ny[b])
-            with np.errstate(divide="ignore"):
-                v = np.where(r > 0.0, r ** (-mu), 0.0)
-            out += wx[a] * wy[b] * v
-    return out
-
-
-def _gauss_halfcell(dx, dy, hx, hy, mu, rule, axis):
-    """Kernel integral over the outward half cell (the clipped overhang).
-
-    axis = 0: strip [-hx/2, 0] x [-hy/2, hy/2]; axis = 1: x and y swapped.
-    Offsets are measured from the boundary node to the target node.
-    """
-    gx, gw = rule
-    if axis == 0:
-        nu = 0.25 * hx * (gx - 1.0)   # nodes in [-hx/2, 0]
-        wu = 0.25 * hx * gw
-        nv = 0.5 * hy * gx
-        wv = 0.5 * hy * gw
-    else:
-        nu = 0.5 * hx * gx
-        wu = 0.5 * hx * gw
-        nv = 0.25 * hy * (gx - 1.0)
-        wv = 0.25 * hy * gw
-    out = np.zeros(np.broadcast(dx, dy).shape)
-    for a in range(len(gx)):
-        for b in range(len(gx)):
-            r = np.hypot(dx - nu[a], dy - nv[b])
-            with np.errstate(divide="ignore"):
-                v = np.where(r > 0.0, r ** (-mu), 0.0)
-            out += wu[a] * wv[b] * v
-    return out
+def _gauss_quarter(k, l, hx, hy, mu, rule):
+    """Kernel integral over the quarter cell [0,hx/2]x[0,hy/2] seen from
+    (k hx, l hy); k and l broadcast, and only k = l = 0 touches the cell."""
+    nodes, weights = 0.25 * (rule[0] + 1.0), 0.25 * rule[1]   # on [0, 1/2]
+    out = np.zeros(np.broadcast(k, l).shape)
+    for a, wa in zip(nodes, weights):
+        for b, wb in zip(nodes, weights):
+            out += wa * wb * np.hypot((k - a) * hx, (l - b) * hy) ** (-mu)
+    return hx * hy * out
 
 
 def _build_2d(domain: DomainSpec, mu):
+    """Offset table, strip tables and corner fields from one quarter table.
+
+    q[k + N-1, l + N-1] integrates the kernel over the quarter cell
+    [0,hx/2]x[0,hy/2] seen from offset (k, l).  Reflecting the quarter in an
+    axis negates that offset, so every clipped cell is a sum of flips of q.
+    """
     n = domain.n_grid
     hx, hy = domain.spacings()
     offs = np.arange(-(n - 1), n)
-    dx_grid = offs[:, None] * hx
-    dy_grid = offs[None, :] * hy
-
-    table = _gauss_cell(dx_grid, dy_grid, hx, hy, mu, _GAUSS_FAR)
+    q = _gauss_quarter(offs[:, None], offs[None, :], hx, hy, mu, _GAUSS_FAR)
     # refine the near field where the 12-point rule loses digits
-    near = 4
-    sel = offs[np.abs(offs) <= near]
-    dxn = sel[:, None] * hx
-    dyn = sel[None, :] * hy
-    fine = _gauss_cell(dxn, dyn, hx, hy, mu, _GAUSS_NEAR)
-    idx = sel + (n - 1)
-    table[np.ix_(idx, idx)] = fine
-    # exact polar value on the singular cell
-    table[n - 1, n - 1] = 4.0 * _singular_quadrant(hx / 2.0, hy / 2.0, mu)
-
-    # edge strip tables: E[d_along + (n-1), d_perp] with d_perp >= 0 measured
-    # from the boundary into the domain
-    perp = np.arange(n)
-    dpx = perp[None, :] * hx
-    dal_y = offs[:, None] * hy
-    ex = _gauss_halfcell(np.broadcast_to(dpx, (2 * n - 1, n)),
-                         np.broadcast_to(dal_y, (2 * n - 1, n)),
-                         hx, hy, mu, _GAUSS_FAR, axis=0)
-    dal_x = offs[:, None] * hx
-    dpy = perp[None, :] * hy
-    ey = _gauss_halfcell(np.broadcast_to(dal_x, (2 * n - 1, n)),
-                         np.broadcast_to(dpy, (2 * n - 1, n)),
-                         hx, hy, mu, _GAUSS_FAR, axis=1)
-    # refine strips near the boundary node (both offsets small)
-    seln = offs[np.abs(offs) <= near]
-    perpn = perp[perp <= near]
-    exn = _gauss_halfcell(perpn[None, :] * hx + 0.0 * seln[:, None],
-                          seln[:, None] * hy + 0.0 * perpn[None, :],
-                          hx, hy, mu, _GAUSS_NEAR, axis=0)
-    ex[np.ix_(seln + (n - 1), perpn)] = exn
-    eyn = _gauss_halfcell(seln[:, None] * hx + 0.0 * perpn[None, :],
-                          perpn[None, :] * hy + 0.0 * seln[:, None],
-                          hx, hy, mu, _GAUSS_NEAR, axis=1)
-    ey[np.ix_(seln + (n - 1), perpn)] = eyn
-    # the strip touching its own boundary node: exact (two polar quadrants)
-    ex[n - 1, 0] = 0.5 * table[n - 1, n - 1]
-    ey[n - 1, 0] = 0.5 * table[n - 1, n - 1]
-
-    # corner overhang fields: kernel integral over the outward quarter cell
-    # at each of the four corner nodes, evaluated at every grid node
-    ax0, bx0, ay0, by0 = domain.bounds
-    xs, ys = domain.axes()
-    corners = {}
-    for (cx, cy, sx, sy) in ((ax0, ay0, -1, -1), (bx0, ay0, +1, -1),
-                             (ax0, by0, -1, +1), (bx0, by0, +1, +1)):
-        dx = xs[:, None] - cx
-        dy = ys[None, :] - cy
-        gx, gw = _GAUSS_FAR
-        nxq = sx * 0.25 * hx * (gx + 1.0)   # outward quarter in x
-        nyq = sy * 0.25 * hy * (gx + 1.0)
-        wq = 0.25 * hx * gw
-        vq = 0.25 * hy * gw
-        acc = np.zeros((n, n))
-        for a in range(len(gx)):
-            for b in range(len(gx)):
-                r = np.hypot(dx - nxq[a], dy - nyq[b])
-                with np.errstate(divide="ignore"):
-                    v = np.where(r > 0.0, r ** (-mu), 0.0)
-                acc += wq[a] * vq[b] * v
-        # the corner node itself: quarter of the exact singular cell
-        i = 0 if sx < 0 else n - 1
-        j = 0 if sy < 0 else n - 1
-        acc[i, j] = 0.25 * table[n - 1, n - 1]
-        corners[(i, j)] = acc
+    near = offs[np.abs(offs) <= 4]
+    q[np.ix_(near + n - 1, near + n - 1)] = _gauss_quarter(
+        near[:, None], near[None, :], hx, hy, mu, _GAUSS_NEAR)
+    # exact polar value on the singular quarter
+    q[n - 1, n - 1] = _singular_quadrant(hx / 2.0, hy / 2.0, mu)
+    # full cells: four reflected quarters, summed so that the table is even
+    half = q + q[::-1, :]
+    table = half + half[:, ::-1]
+    # offsets 0, -1, .., -(n-1) and -(n-1), .., 0
+    lo, hi = slice(n - 1, None, -1), slice(None, n)
+    # strips E[d_along + (n-1), d_perp], d_perp >= 0 measured from the
+    # boundary inward: the outward half cell is two reflected quarters
+    ex = (q[lo, :] + q[lo, ::-1]).T
+    ey = q[:, lo] + q[::-1, lo]
+    # corner fields: the outward quarter cell of each corner node, seen
+    # from every grid node
+    corners = {(0, 0): q[lo, lo], (n - 1, 0): q[hi, lo],
+               (0, n - 1): q[lo, hi], (n - 1, n - 1): q[hi, hi]}
     return table, ex, ey, corners
 
 
@@ -305,7 +235,7 @@ def build_weights(domain: DomainSpec, mu) -> RieszWeights:
         scale = domain.spacings()[0] ** (1.0 - mu) / ((1.0 - mu) * (2.0 - mu))
         gen, left, right = _hat_weights(domain.n_grid, 2.0 - mu, False, scale)
         return RieszWeights(mu=mu, domain=domain, offsets=gen, edge_x=left,
-                            edge_y=right, spectrum=_toeplitz_spectrum(gen))
+                            edge_y=right)
     if domain.n_grid > _MAX_GRID_2D:
         raise OutOfRange(
             f"2-D weights capped at N = {_MAX_GRID_2D} per axis; "
@@ -315,33 +245,32 @@ def build_weights(domain: DomainSpec, mu) -> RieszWeights:
                         edge_x=ex, edge_y=ey, corners=corners)
 
 
+def _strip(edge, table):
+    """A strip table convolved along its boundary with that edge's values."""
+    n = len(edge)
+    return fftconvolve(np.tile(edge[:, None], (1, n)), table, mode="full",
+                       axes=0)[n - 1:2 * n - 1, :]
+
+
 def convolve(weights: RieszWeights, f: GridField) -> GridField:
     """Pointwise values of (|.|^{-mu} * f) over the domain; linear in f."""
     if f.domain != weights.domain:
         raise GridMismatch("field grid does not match the weights' grid")
-    if weights.domain.dim == 1:
-        return GridField(weights.domain, _toeplitz_apply(
-            weights.spectrum, weights.edge_x, weights.edge_y, f.values))
     vals = f.values
+    out = _fft_apply(weights.spectrum, vals)
+    if weights.domain.dim == 1:
+        # the end columns carry half hats
+        return GridField(weights.domain, out + vals[..., :1] * weights.edge_x
+                         + vals[..., -1:] * weights.edge_y)
     n = weights.domain.n_grid
-    out = fftconvolve(vals, weights.offsets, mode="same")
     # subtract the overhang of boundary-node cells, restore corner pieces
-    ex, ey = weights.edge_x, weights.edge_y
-    for j, flip in ((0, False), (n - 1, True)):
-        col = vals[:, j]
-        if np.any(col):
-            strip = fftconvolve(np.tile(col[:, None], (1, n)), ey, mode="full",
-                                axes=0)[n - 1:2 * n - 1, :]
-            if flip:
-                strip = strip[:, ::-1]
-            out -= strip
-    for i, flip in ((0, False), (n - 1, True)):
-        row = vals[i, :]
-        if np.any(row):
-            strip = fftconvolve(np.tile(row[:, None], (1, n)), ex, mode="full",
-                                axes=0)[n - 1:2 * n - 1, :]
-            strip = strip.T if not flip else strip.T[::-1, :]
-            out -= strip
+    ends = ((0, slice(None)), (n - 1, slice(None, None, -1)))
+    for j, order in ends:
+        if np.any(vals[:, j]):
+            out -= _strip(vals[:, j], weights.edge_y)[:, order]
+    for i, order in ends:
+        if np.any(vals[i, :]):
+            out -= _strip(vals[i, :], weights.edge_x).T[order, :]
     for (i, j), fld in weights.corners.items():
         if vals[i, j] != 0.0:
             out += vals[i, j] * fld
@@ -484,15 +413,16 @@ def moment_apply(domain: DomainSpec, mu, values):
     mu = float(mu)
     scale = domain.spacings()[0] ** (-mu) / (mu * (1.0 - mu))
     gen, left, right = _hat_weights(domain.n_grid, 1.0 - mu, True, scale)
-    return _toeplitz_apply(_toeplitz_spectrum(gen), left, right,
-                           np.asarray(values, dtype=float))
+    values = np.asarray(values, dtype=float)
+    return (_fft_apply(_spectrum(gen), values)
+            + values[..., :1] * left + values[..., -1:] * right)
 
 
 # --------------------------------------------------------------------------
 # weights cache for 2-D tables (binary sidecar, format-versioned)
 # --------------------------------------------------------------------------
 
-_CACHE_FORMAT_VERSION = 1
+_CACHE_FORMAT_VERSION = 2
 # what np.load raises on a missing, truncated, empty or foreign file
 _CACHE_LOAD_ERRORS = (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import constants, riesz, spectral
+from . import constants, riesz
 from .errors import (NoConvergence, OutOfRange, PositivityLost, ResonantEps,
                      ZeroField)
 from .grids import DomainSpec, GridField

@@ -91,6 +91,33 @@ def test_kelvin_rejects_origin(params_251):
         g(np.zeros(2))
 
 
+@pytest.mark.parametrize("x", [0.5, (0.5, 0.5, 0.5)])
+def test_point_shape_rejected_in_2d(params_251, x):
+    bub = Bubble(BubbleFamily.HARTREE_W, (0.0, 0.0), 1.0, params_251)
+    with pytest.raises(OutOfRange):
+        bubbles.eval_bubble(bub, x)
+    with pytest.raises(OutOfRange):
+        bubbles.kelvin(lambda y: 1.0, params_251)(x)
+
+
+def test_point_shapes_accepted(params_251):
+    p1 = make_params(1, 0.3, 0.4, 0.0, Regime.FREE_SPACE)
+    b1 = Bubble(BubbleFamily.HARTREE_W, (0.1,), 1.3, p1)
+    assert bubbles.eval_bubble(b1, 0.5) == bubbles.eval_bubble(b1, (0.5,))
+    g1 = bubbles.kelvin(lambda x: bubbles.eval_bubble(b1, x), p1)
+    assert g1(0.5) == g1((0.5,))
+    b2 = Bubble(BubbleFamily.HARTREE_W, (0.2, -0.1), 1.4, params_251)
+    for bub in (b1, b2):
+        p = bub.params
+        pts = np.random.default_rng(5).normal(size=(7, p.n))
+        g = bubbles.kelvin(lambda x: bubbles.eval_bubble(bub, x), p)
+        # an (m, n) array evaluates row by row, up to vectorized rounding
+        np.testing.assert_allclose(bubbles.eval_bubble(bub, pts),
+                                   [bubbles.eval_bubble(bub, x) for x in pts],
+                                   rtol=1e-14)
+        np.testing.assert_allclose(g(pts), [g(x) for x in pts], rtol=1e-14)
+
+
 def test_convolution_identity_center_n2(params_251):
     bub = Bubble(BubbleFamily.HARTREE_W, (0.0, 0.0), 1.0, params_251)
     lhs, rhs = bubbles.convolution_identity_lhs_rhs(bub, (0.0, 0.0))

@@ -7,7 +7,7 @@ from fhl import constants, diagnostics, riesz, spectral
 from fhl.diagnostics import ContinuationReport
 from fhl.errors import (DegenerateStrip, MissingRobin, OutOfRange,
                         SampleTooClose)
-from fhl.grids import GridField, interval
+from fhl.grids import GridField, interval, rectangle
 from fhl.model import Regime, make_params
 
 
@@ -227,6 +227,18 @@ def test_green_limit_too_close(interval_basis_20k):
     with pytest.raises(SampleTooClose):
         diagnostics.green_limit_check(rec, interval_basis_20k, 0.3,
                                       (0.5,), [(0.5 + 1e-4,)])
+
+
+@pytest.mark.parametrize("sample", [0.3, (0.3, 0.2, 0.1)])
+def test_green_limit_rejects_wrong_dimension(sample):
+    from types import SimpleNamespace
+    dom = rectangle(0.0, 1.4, 0.0, 0.9, 32)
+    rec = SimpleNamespace(grid=GridField(dom, np.ones((32, 32))), sup_norm=1.0,
+                          params=make_params(2, 0.45, 1.2, 0.1,
+                                             Regime.BREZIS_NIRENBERG))
+    basis = spectral.build_basis(dom, 8)
+    with pytest.raises(OutOfRange):
+        diagnostics.green_limit_check(rec, basis, 0.45, (0.7, 0.45), [sample])
 
 
 def test_boundary_bounds_degenerate(params1):

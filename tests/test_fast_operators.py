@@ -1,17 +1,21 @@
-"""The O(N log N) 1-D operators against the dense builders they replaced.
+"""The O(N log N) operators against the dense builders they replaced.
 
 `riesz._build_1d`, `riesz.moment_weights_1d` and `EigenBasis.sine_tables`
 (on an interval, the dense K x N mode matrix) stay as oracles: property
 tests over random N, mu and fields, plus one check at the sweep's grid,
 N = 4096, with the sweep's kernel exponent.
+
+The 2-D apply is checked against a dense quarter-cell quadrature built
+here, and its table term against `fftconvolve` on the stored table.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import fftconvolve
 
 from fhl import riesz, spectral
-from fhl.grids import GridField, interval
+from fhl.grids import GridField, interval, rectangle
 from fhl.spectral import SpectralField
 
 SIZES = st.integers(16, 600)          # DomainSpec needs N >= 16
@@ -109,3 +113,63 @@ def test_sine_transforms_at_4096(grid_4096):
     dense_v = phi.T @ dense_a
     v = spectral.synthesis(SpectralField(basis, dense_a)).values
     assert np.max(np.abs(v - dense_v)) / np.max(np.abs(dense_v)) <= 1e-11
+
+
+def _dense_2d(dom, mu):
+    """W[t, s]: the kernel seen from node t, integrated over node s's cell.
+
+    Each quarter of the cell that lies in the domain takes a 16-point Gauss
+    product rule, except the target's own quarters, which are exact.
+    """
+    n = dom.n_grid
+    hx, hy = dom.spacings()
+    gx, gw = np.polynomial.legendre.leggauss(16)
+    nodes = 0.25 * (gx + 1.0)                 # in [0, 1/2] cell units
+    offs = np.arange(-(n - 1), n)
+    i, j = np.divmod(np.arange(n * n), n)     # the order of values.ravel()
+    # index of the target-minus-source offset of every (t, s) pair
+    di = i[:, None] - i[None, :] + n - 1
+    dj = j[:, None] - j[None, :] + n - 1
+    own = riesz._singular_quadrant(hx / 2.0, hy / 2.0, mu)
+    dense = np.zeros((n * n, n * n))
+    for sx in (-1, 1):
+        for sy in (-1, 1):
+            q = np.zeros((2 * n - 1, 2 * n - 1))
+            for a, wa in zip(nodes, gw):
+                for b, wb in zip(nodes, gw):
+                    q += wa * wb * np.hypot((offs[:, None] - sx * a) * hx,
+                                            (offs[None, :] - sy * b) * hy) ** (-mu)
+            q *= hx * hy / 16.0
+            q[n - 1, n - 1] = own
+            inside = (0 <= i + sx) & (i + sx < n) & (0 <= j + sy) & (j + sy < n)
+            dense += np.where(inside[None, :], q[di, dj], 0.0)
+    return dense
+
+
+@pytest.mark.parametrize("dom, mu", [
+    (rectangle(0.0, 1.4, 0.0, 0.9, 16), 1.1),
+    (rectangle(0.0, 1.0, 0.0, 1.0, 17), 1.2),
+])
+def test_riesz_apply_2d_matches_dense(dom, mu):
+    n = dom.n_grid
+    dense = _dense_2d(dom, mu)
+    w = riesz.build_weights(dom, mu)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        # nonzero on every edge and corner, so the strips and corners act
+        f = rng.normal(size=(n, n))
+        fast = riesz.convolve(w, GridField(dom, f)).values.ravel()
+        assert _defect(fast, dense, f.ravel()) < 1e-13
+
+
+@PROPERTY
+@given(n=st.integers(16, 64), mu=st.floats(0.05, 1.95),
+       ratio=st.floats(0.25, 4.0), seed=SEEDS)
+def test_riesz_table_term_matches_fftconvolve(n, mu, ratio, seed):
+    dom = rectangle(0.0, 1.0, 0.0, ratio, n)
+    w = riesz.build_weights(dom, mu)
+    f = np.random.default_rng(seed).normal(size=(2, n, n))
+    oracle = [fftconvolve(g, w.offsets, mode="same") for g in f]
+    scale = max(np.max(fftconvolve(np.abs(g), w.offsets, mode="same")) for g in f)
+    # a stack of fields applies field by field
+    assert np.max(np.abs(riesz._fft_apply(w.spectrum, f) - oracle)) < 1e-13 * scale
