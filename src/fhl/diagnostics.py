@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.interpolate import RegularGridInterpolator
 
 from . import bubbles, constants, riesz, solver, spectral
 from .errors import (DegenerateStrip, EmptyInterior, MissingRobin, OutOfRange,
@@ -204,6 +205,8 @@ def green_limit_check(record: SolutionRecord, basis, s, x0, sample_points):
     rows = []
     b = constants.small_b_ns(record.params.n, record.params.s)
     axes = dom.axes()
+    if dom.dim == 2:
+        itp = RegularGridInterpolator(axes, record.grid.values)
     for x in sample_points:
         pt = spectral._as_point(x, dom.dim)
         dist = math.sqrt(sum((a - b0) ** 2 for a, b0 in zip(pt, x0)))
@@ -213,8 +216,6 @@ def green_limit_check(record: SolutionRecord, basis, s, x0, sample_points):
         if dom.dim == 1:
             u_x = float(np.interp(pt[0], axes[0], record.grid.values))
         else:
-            from scipy.interpolate import RegularGridInterpolator
-            itp = RegularGridInterpolator((axes[0], axes[1]), record.grid.values)
             u_x = float(itp(pt))
         g = spectral.green(basis, s, pt, tuple(x0))
         lhs = record.sup_norm * u_x

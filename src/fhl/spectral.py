@@ -39,6 +39,9 @@ class EigenBasis:
     lambdas: np.ndarray               # sorted ascending
     modes: np.ndarray                 # (K,) k indices or (K,2) (kx,ky) pairs
     _sine_tables: tuple | None = field(default=None, repr=False)
+    # per-s mode arrays of the Green sums, filled by _green_arrays
+    _green_cache: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     @property
     def dim(self):
@@ -47,6 +50,25 @@ class EigenBasis:
     def _axis_modes(self):
         """Per-axis mode indices k of the K modes; (dim, K)."""
         return self.modes.reshape(self.K, self.dim).T
+
+    def _green_arrays(self, s):
+        """The mode arrays of the Green sums that depend only on (basis, s),
+        computed on first use and read-only: (k pi/L)^(-2s) on an interval,
+        (lambda^s, w8, w16) on a rectangle, with the mollifier weights
+        w8 = exp(-8 (lambda/lambda_K)^2) and w16 = w8^2."""
+        key = float(s)
+        if key not in self._green_cache:
+            if self.dim == 1:
+                k = self.modes.astype(float)
+                arrays = ((k * math.pi / self.domain.sides[0]) ** (-2.0 * s),)
+            else:
+                lam = self.lambdas
+                w8 = np.exp(-_MOLL_C * (lam / lam[-1]) ** 2)
+                arrays = (lam ** s, w8, w8 * w8)
+            for a in arrays:
+                a.flags.writeable = False
+            self._green_cache[key] = arrays
+        return self._green_cache[key]
 
     def sine_tables(self):
         """Per-axis sampled sine modes k = 1 .. k_max (k_max x N).
@@ -83,6 +105,16 @@ class EigenBasis:
                                          self.domain.sides, point):
             vals = vals * math.sqrt(2.0 / length) * np.sin(
                 k * math.pi * (x - lo) / length)
+        return vals
+
+    def _phi(self, point):
+        """phi_at(point), bit for bit, with sin evaluated once per distinct
+        k of each axis and gathered to the K modes."""
+        vals = 1.0
+        for k, (lo, _), length, x in zip(self._axis_modes(), self.domain.ranges(),
+                                         self.domain.sides, point):
+            sines = np.sin(np.arange(1, k.max() + 1) * math.pi * (x - lo) / length)
+            vals = vals * math.sqrt(2.0 / length) * sines[k - 1]
         return vals
 
 
@@ -225,7 +257,7 @@ def _green_interval(basis: EigenBasis, s, x, y):
     a, b = basis.domain.bounds
     length = b - a
     k = basis.modes.astype(float)
-    amp = (k * math.pi / length) ** (-2.0 * s)
+    (amp,) = basis._green_arrays(s)
     tm = math.pi * (x - y) / length
     tp = math.pi * ((x - a) + (y - a)) / length
     val = float(np.sum(amp * (np.cos(k * tm) - np.cos(k * tp)))) / length
@@ -235,15 +267,29 @@ def _green_interval(basis: EigenBasis, s, x, y):
     return val + correction, abs(correction)
 
 
-def _green_rectangle(basis: EigenBasis, s, p, q):
-    lam = basis.lambdas
-    lam_k = lam[-1]
-    prod = basis.phi_at(p) * basis.phi_at(q) / lam ** s
-    w8 = np.exp(-_MOLL_C * (lam / lam_k) ** 2)
-    w16 = w8 * w8
+def _green_rectangle(basis: EigenBasis, s, phi_p, phi_q):
+    lam_s, w8, w16 = basis._green_arrays(s)
+    prod = phi_p * phi_q / lam_s
     v8 = float(np.sum(w8 * prod))
     v16 = float(np.sum(w16 * prod))
     return v8, abs(v8 - v16)
+
+
+def _green_from(basis: EigenBasis, s, p):
+    """G(p, .) at an interior point p, as a function of an interior q != p
+    returning (value, truncation-tail estimate); the work that depends on p
+    alone (phi(p) on a rectangle) is done here, once."""
+    if basis.dim == 1:
+        def at(q):
+            _require_interior(basis.domain, q)
+            return _green_interval(basis, s, p[0], q[0])
+    else:
+        phi_p = basis._phi(p)
+
+        def at(q):
+            _require_interior(basis.domain, q)
+            return _green_rectangle(basis, s, phi_p, basis._phi(q))
+    return at
 
 
 def _as_point(x, dim):
@@ -265,10 +311,7 @@ def green_detail(basis: EigenBasis, s, x, y):
         raise DiagonalEvaluation(
             "green is singular on the diagonal; use robin for the regular part")
     _require_interior(basis.domain, p)
-    _require_interior(basis.domain, q)
-    if dim == 1:
-        return _green_interval(basis, s, p[0], q[0])
-    return _green_rectangle(basis, s, p, q)
+    return _green_from(basis, s, p)(q)
 
 
 def green(basis: EigenBasis, s, x, y):
@@ -321,14 +364,15 @@ def robin_detail(basis: EigenBasis, s, x, delta0=None):
     else:
         levels = 3
 
+    green_p = _green_from(basis, s, p)
+
     def averaged(d):
         vals = []
         for axis in range(dim):
             for sign in (+1.0, -1.0):
                 q = list(p)
                 q[axis] += sign * d
-                vals.append(gam * d ** (-(n - 2.0 * s))
-                            - green(basis, s, p, tuple(q)))
+                vals.append(gam * d ** (-(n - 2.0 * s)) - green_p(tuple(q))[0])
         return float(np.mean(vals))
 
     deltas = [d0 / 2 ** j for j in range(levels)]

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fhl import spectral
+from fhl import constants, spectral
 from fhl.errors import (DiagonalEvaluation, NoCriticalPoint, OutOfRange,
                         UnderResolved)
 from fhl.grids import interval, rectangle
@@ -206,3 +207,158 @@ def test_robin_point_dimension_mismatch(dom, point):
         spectral.robin_detail(basis, 0.3, point)
     with pytest.raises(OutOfRange, match="domain dimension"):
         spectral.green_detail(basis, 0.3, point, (0.25,) * dom.dim)
+
+
+# --------------------------------------------------------------------------
+# cached Green arrays and gathered sines against the per-call formulas
+# --------------------------------------------------------------------------
+
+RECT = rectangle(0.0, 1.4, 0.0, 0.9, 64)
+LINE = interval(-0.3, 1.1, 256)
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
+
+
+def _inside(lo, hi):
+    return st.floats(lo, hi, exclude_min=True, exclude_max=True)
+
+
+@pytest.fixture(scope="module")
+def robin_rect_basis():
+    """The 16384-mode basis of the rectangle Robin landscape."""
+    return spectral.build_basis(rectangle(0.0, 1.4, 0.0, 0.9, 512), 128 * 128)
+
+
+def _fresh_green(basis, s, p, q):
+    """The Green formulas with every mode array rebuilt per call and the
+    sines evaluated per mode by phi_at."""
+    if basis.dim == 1:
+        a, b = basis.domain.bounds
+        length = b - a
+        k = basis.modes.astype(float)
+        amp = (k * math.pi / length) ** (-2.0 * s)
+        tm = math.pi * (p[0] - q[0]) / length
+        tp = math.pi * ((p[0] - a) + (q[0] - a)) / length
+        val = float(np.sum(amp * (np.cos(k * tm) - np.cos(k * tp)))) / length
+        correction = (spectral._cos_tail(tm, basis.K, s, length)
+                      - spectral._cos_tail(tp, basis.K, s, length)) / length
+        return val + correction, abs(correction)
+    lam = basis.lambdas
+    prod = basis.phi_at(p) * basis.phi_at(q) / lam ** s
+    w8 = np.exp(-8.0 * (lam / lam[-1]) ** 2)
+    w16 = w8 * w8
+    v8 = float(np.sum(w8 * prod))
+    v16 = float(np.sum(w16 * prod))
+    return v8, abs(v8 - v16)
+
+
+def _fresh_robin(basis, s, p, deltas):
+    """Three-level Richardson Robin value and spread on _fresh_green."""
+    n = basis.dim
+    gam = constants.gamma_ns(n, s)
+    e_vals = []
+    for d in deltas:
+        vals = []
+        for axis in range(n):
+            for sign in (+1.0, -1.0):
+                q = list(p)
+                q[axis] += sign * d
+                vals.append(gam * d ** (-(n - 2.0 * s))
+                            - _fresh_green(basis, s, p, tuple(q))[0])
+        e_vals.append(float(np.mean(vals)))
+    r1 = (4.0 * e_vals[1] - e_vals[0]) / 3.0
+    r2 = (4.0 * e_vals[2] - e_vals[1]) / 3.0
+    return (16.0 * r2 - r1) / 15.0, abs(r2 - r1)
+
+
+@PROPERTY
+@given(x=_inside(0.0, 1.4), y=_inside(0.0, 0.9))
+def test_gathered_phi_matches_phi_at_rectangle(x, y):
+    basis = spectral.build_basis(RECT, 1024)
+    assert np.array_equal(basis._phi((x, y)), basis.phi_at((x, y)))
+
+
+@PROPERTY
+@given(x=_inside(-0.3, 1.1))
+def test_gathered_phi_matches_phi_at_interval(x):
+    basis = spectral.build_basis(LINE, 128)
+    assert np.array_equal(basis._phi((x,)), basis.phi_at((x,)))
+
+
+@pytest.mark.parametrize("p, q", [((0.3, 0.2), (0.9, 0.7)),
+                                  ((0.7, 0.45), (0.72, 0.44)),
+                                  ((1.3, 0.1), (0.05, 0.85))])
+def test_green_rectangle_matches_fresh(robin_rect_basis, p, q):
+    for s in (0.45, 0.3):
+        assert spectral.green_detail(robin_rect_basis, s, p, q) == \
+            _fresh_green(robin_rect_basis, s, p, q)
+
+
+def test_green_interval_matches_fresh(interval_basis_20k):
+    for s in (0.3, 0.18):
+        for x, y in [(0.25, 0.3), (0.25, 0.75), (0.9, 0.1)]:
+            assert spectral.green_detail(interval_basis_20k, s, (x,), (y,)) == \
+                _fresh_green(interval_basis_20k, s, (x,), (y,))
+
+
+@pytest.mark.parametrize("point", [(0.7, 0.45), (0.3, 0.27), (1.1, 0.63)])
+def test_robin_rectangle_matches_fresh(robin_rect_basis, point):
+    val, spread, deltas = spectral.robin_detail(robin_rect_basis, 0.45, point)
+    assert len(deltas) == 3
+    assert (val, spread) == _fresh_robin(robin_rect_basis, 0.45, point, deltas)
+
+
+@pytest.mark.parametrize("x", [0.3, 0.5, 0.9])
+def test_robin_interval_matches_fresh(interval_basis_20k, x):
+    val, spread, deltas = spectral.robin_detail(interval_basis_20k, 0.3, (x,))
+    assert len(deltas) == 3
+    assert (val, spread) == _fresh_robin(interval_basis_20k, 0.3, (x,), deltas)
+
+
+@pytest.mark.parametrize("dom, p, q", [(RECT, (0.3, 0.2), (0.9, 0.7)),
+                                       (LINE, (0.1,), (0.6,))],
+                         ids=["rectangle", "interval"])
+def test_green_cache_two_s_one_basis(dom, p, q):
+    basis = spectral.build_basis(dom, 512 if dom.dim == 2 else 128)
+    for s in (0.45, 0.2, 0.45):
+        assert spectral.green_detail(basis, s, p, q) == _fresh_green(basis, s, p, q)
+    assert sorted(basis._green_cache) == [0.2, 0.45]
+    for a in basis._green_arrays(0.2):
+        assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("doms, ks, p, q", [
+    ((RECT, RECT, rectangle(0.0, 0.9, 0.0, 1.4, 64)), (300, 200, 300),
+     (0.3, 0.2), (0.8, 0.7)),
+    ((LINE, LINE, interval(0.0, 1.0, 256)), (60, 40, 60), (0.1,), (0.6,)),
+], ids=["rectangle", "interval"])
+def test_green_cache_one_s_two_bases(doms, ks, p, q):
+    bases = [spectral.build_basis(dom, k) for dom, k in zip(doms, ks)]
+    values = [spectral.green_detail(b, 0.3, p, q) for b in bases]
+    for basis, value in zip(bases, values):
+        assert value == _fresh_green(basis, 0.3, p, q)
+    assert len(set(values)) == len(values)
+
+
+@pytest.mark.parametrize("dom", [RECT, LINE], ids=["rectangle", "interval"])
+def test_green_robin_typed_errors(dom):
+    basis = spectral.build_basis(dom, 512 if dom.dim == 2 else 128)
+    (lo, hi), *_ = dom.ranges()
+    inner = tuple(0.5 * (a + b) for a, b in dom.ranges())
+    other = tuple(0.4 * a + 0.6 * b for a, b in dom.ranges())
+    spectral.green(basis, 0.3, inner, other)          # fills the cache
+    with pytest.raises(DiagonalEvaluation):
+        spectral.green(basis, 0.3, inner, inner)
+    on_edge = (hi,) + inner[1:]
+    with pytest.raises(OutOfRange, match="not interior"):
+        spectral.green(basis, 0.3, inner, on_edge)
+    with pytest.raises(OutOfRange, match="not interior"):
+        spectral.robin(basis, 0.3, on_edge)
+    near_edge = (lo + 1e-4,) + inner[1:]
+    with pytest.raises(OutOfRange, match="resolution floor"):
+        spectral.robin(basis, 0.3, near_edge)
+    wrong = inner + (0.5,)
+    with pytest.raises(OutOfRange, match="domain dimension"):
+        spectral.green(basis, 0.3, inner, wrong)
+    with pytest.raises(OutOfRange, match="domain dimension"):
+        spectral.robin(basis, 0.3, wrong)
