@@ -15,15 +15,20 @@ cells clipped to the domain.  Uniform spacing makes every cell integral a
 function of the node offset only, and every clipped cell is a union of
 reflected quarter cells, so one Gauss table over the quarter cell gives the
 full-cell offset table, the per-edge strip tables and the per-corner fields
-by sums, flips and slices.  The offset table is applied as a discrete
-convolution through the same zero-padded real FFT as in 1-D; boundary-cell
+by sums, flips and slices; its Gauss rule is graded by the distance from
+the quarter cell.  The offset table is applied as a discrete convolution
+through a zero-padded FFT pruned to the input and output rows; boundary-cell
 clipping is restored exactly through the strips and corners.  Documented
 accuracy is O(h) near the singularity, which is what the desk-scale solver
 configurations need.
+
+The 2-D apply writes into work arrays kept for its last transform shape,
+so `convolve` on a 2-D grid is not reentrant across threads.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -32,7 +37,7 @@ import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
+from scipy.fft import next_fast_len
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
@@ -42,7 +47,13 @@ from .grids import DomainSpec, GridField
 
 _MAX_GRID_2D = 512
 
-_GAUSS_FAR = np.polynomial.legendre.leggauss(12)
+# the quarter-cell rule by distance from the quarter cell, in units of the
+# larger spacing: 4 points everywhere, refined to 6 points within 16 and to
+# 12 within 4, each exact to rounding where it is used; 40 points on the
+# offsets within 4 cells on both axes
+_GAUSS_FAR = np.polynomial.legendre.leggauss(4)
+_GAUSS_GRADED = ((16.0, np.polynomial.legendre.leggauss(6)),
+                 (4.0, np.polynomial.legendre.leggauss(12)))
 _GAUSS_NEAR = np.polynomial.legendre.leggauss(40)
 
 
@@ -56,7 +67,8 @@ class RieszWeights:
     # (benchmarks/spans.py) test it to pick the layout's byte count
     matrix: np.ndarray | None = None
     # 2-D: full-cell offset table, strip tables of the x- and y-overhangs
-    # and corner fields, all derived from one quarter-cell table (_build_2d).
+    # and corner fields, all derived from one quarter-cell table
+    # (_quarter_table, _cell_tables).
     # 1-D: generator by column-minus-row offset + N - 1, and the corrections
     # of the first and last columns (half hats minus full hats).
     offsets: np.ndarray | None = None
@@ -143,23 +155,57 @@ def _fft_len(n):
 
 
 def _spectrum(offsets):
-    """Real FFT of an offset table flipped on every axis, zero-padded per axis.
+    """Spectrum of the operator whose entry (i, j) along each axis is
+    offsets[j - i + N - 1], zero-padded to _fft_len(N) per axis.
 
-    Along an axis, entry (i, j) of the operator is offsets[j - i + N - 1];
-    flipping turns the row sums into a convolution.  The orientation matters
-    for the odd moment kernel (the 2-D table is even on both axes).
+    1-D: the real FFT of the flipped generator; flipping turns the row sums
+    into a convolution, and the orientation matters for the odd moment
+    kernel.  The operator's rows are outputs N-1 .. 2N-2.
+    2-D: the table is exactly even, so it is wrapped about index 0 of the
+    periodic L x L grid, where its spectrum is real up to rounding; that
+    zero-phase real array is stored, at half the bytes of a complex one, and
+    the operator's rows are outputs 0 .. N-1.
     """
-    return rfftn(np.flip(offsets), [_fft_len((m + 1) // 2) for m in offsets.shape])
+    if offsets.ndim == 1:
+        return np.fft.rfft(np.flip(offsets), _fft_len((len(offsets) + 1) // 2))
+    n = (offsets.shape[0] + 1) // 2
+    pad = _fft_len(n) - offsets.shape[0]
+    wrapped = np.roll(np.pad(offsets, ((0, pad), (0, pad))), (1 - n, 1 - n), (0, 1))
+    return np.fft.rfft2(wrapped).real.copy()
+
+
+@functools.lru_cache(maxsize=1)
+def _work(spec_shape, real_shape):
+    """Work arrays of the 2-D `_fft_apply`, reused while the transform shape
+    stays the same: fresh FFT temporaries of this size come back from the
+    allocator as new pages on every call.  Only the last shape is kept, so
+    what stays resident is one apply's temporaries."""
+    return np.zeros(spec_shape, dtype=complex), np.empty(real_shape)
 
 
 def _fft_apply(spectrum, values):
     """The operator of `_spectrum` applied over the last spectrum.ndim axes
-    of values, so a stack of fields goes in one call."""
+    of values, so a stack of fields goes in one call; returns a fresh array.
+
+    The 2-D transform is pruned: the real FFT along the last axis runs over
+    the N input rows only (the padding rows are zeroed), the FFT along the
+    other axis, the product and its inverse run in place in the work
+    arrays, and the inverse real FFT runs over the N output rows only.
+    """
     n = values.shape[-1]
-    axes = tuple(range(-spectrum.ndim, 0))
-    size = [_fft_len(n)] * spectrum.ndim
-    out = irfftn(rfftn(values, size, axes=axes) * spectrum, size, axes=axes)
-    return out[(...,) + (slice(n - 1, 2 * n - 1),) * spectrum.ndim]
+    size = _fft_len(n)
+    if spectrum.ndim == 1:
+        out = np.fft.irfft(np.fft.rfft(values, size) * spectrum, size)
+        return out[..., n - 1:2 * n - 1]
+    spec, real = _work(values.shape[:-2] + spectrum.shape, values.shape[:-1] + (size,))
+    rows = spec[..., :n, :]
+    np.fft.rfft(values, size, out=rows)
+    spec[..., n:, :] = 0.0
+    np.fft.fft(spec, axis=-2, out=spec)
+    spec *= spectrum
+    np.fft.ifft(spec, axis=-2, out=spec)
+    np.fft.irfft(rows, size, out=real)
+    return real[..., :n].copy()
 
 
 # --------------------------------------------------------------------------
@@ -180,30 +226,47 @@ def _gauss_quarter(k, l, hx, hy, mu, rule):
     """Kernel integral over the quarter cell [0,hx/2]x[0,hy/2] seen from
     (k hx, l hy); k and l broadcast, and only k = l = 0 touches the cell."""
     nodes, weights = 0.25 * (rule[0] + 1.0), 0.25 * rule[1]   # on [0, 1/2]
-    out = np.zeros(np.broadcast(k, l).shape)
-    for a, wa in zip(nodes, weights):
-        for b, wb in zip(nodes, weights):
-            out += wa * wb * np.hypot((k - a) * hx, (l - b) * hy) ** (-mu)
+    dxs = [(k - a) * hx for a in nodes]
+    dys = [(l - b) * hy for b in nodes]
+    out = np.zeros(np.broadcast_shapes(np.shape(k), np.shape(l)))
+    term = np.empty_like(out)
+    for dx, wa in zip(dxs, weights):
+        for dy, wb in zip(dys, weights):
+            np.hypot(dx, dy, out=term)
+            np.power(term, -mu, out=term)
+            np.multiply(wa * wb, term, out=term)
+            out += term
     return hx * hy * out
 
 
-def _build_2d(domain: DomainSpec, mu):
-    """Offset table, strip tables and corner fields from one quarter table.
-
-    q[k + N-1, l + N-1] integrates the kernel over the quarter cell
-    [0,hx/2]x[0,hy/2] seen from offset (k, l).  Reflecting the quarter in an
-    axis negates that offset, so every clipped cell is a sum of flips of q.
-    """
+def _quarter_table(domain: DomainSpec, mu):
+    """q[k + N-1, l + N-1]: the kernel integral over the quarter cell
+    [0,hx/2]x[0,hy/2] seen from offset (k, l), by the graded Gauss rule."""
     n = domain.n_grid
     hx, hy = domain.spacings()
     offs = np.arange(-(n - 1), n)
     q = _gauss_quarter(offs[:, None], offs[None, :], hx, hy, mu, _GAUSS_FAR)
-    # refine the near field where the 12-point rule loses digits
+    # distance of each offset from [0, 1/2] per axis, in cells
+    gap = np.maximum(-offs, offs - 0.5)
+    dist = np.hypot(gap[:, None] * hx, gap[None, :] * hy) / max(hx, hy)
+    for bound, rule in _GAUSS_GRADED:
+        i, j = np.nonzero(dist <= bound)
+        q[i, j] = _gauss_quarter(offs[i], offs[j], hx, hy, mu, rule)
     near = offs[np.abs(offs) <= 4]
     q[np.ix_(near + n - 1, near + n - 1)] = _gauss_quarter(
         near[:, None], near[None, :], hx, hy, mu, _GAUSS_NEAR)
     # exact polar value on the singular quarter
     q[n - 1, n - 1] = _singular_quadrant(hx / 2.0, hy / 2.0, mu)
+    return q
+
+
+def _cell_tables(q):
+    """Offset table, strip tables and corner fields from the quarter table.
+
+    Reflecting the quarter cell in an axis negates that offset, so every
+    clipped cell is a sum of flips of q.
+    """
+    n = (q.shape[0] + 1) // 2
     # full cells: four reflected quarters, summed so that the table is even
     half = q + q[::-1, :]
     table = half + half[:, ::-1]
@@ -240,7 +303,7 @@ def build_weights(domain: DomainSpec, mu) -> RieszWeights:
         raise OutOfRange(
             f"2-D weights capped at N = {_MAX_GRID_2D} per axis; "
             f"reduce the grid resolution (got {domain.n_grid})")
-    table, ex, ey, corners = _build_2d(domain, mu)
+    table, ex, ey, corners = _cell_tables(_quarter_table(domain, mu))
     return RieszWeights(mu=mu, domain=domain, offsets=table,
                         edge_x=ex, edge_y=ey, corners=corners)
 
@@ -422,7 +485,7 @@ def moment_apply(domain: DomainSpec, mu, values):
 # weights cache for 2-D tables (binary sidecar, format-versioned)
 # --------------------------------------------------------------------------
 
-_CACHE_FORMAT_VERSION = 2
+_CACHE_FORMAT_VERSION = 3
 # what np.load raises on a missing, truncated, empty or foreign file
 _CACHE_LOAD_ERRORS = (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile)
 

@@ -6,12 +6,16 @@ tests over random N, mu and fields, plus one check at the sweep's grid,
 N = 4096, with the sweep's kernel exponent.
 
 The 2-D apply is checked against a dense quarter-cell quadrature built
-here, and its table term against `fftconvolve` on the stored table.
+here, and its table term against `fftconvolve` on the stored table.  The
+graded far-field rule of the 2-D build is checked against the 12-point
+rule on every offset, and the 1-D applies against a copy of the
+`scipy.fft` apply they replaced, bit for bit.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import fft as sfft
 from scipy.signal import fftconvolve
 
 from fhl import riesz, spectral
@@ -173,3 +177,82 @@ def test_riesz_table_term_matches_fftconvolve(n, mu, ratio, seed):
     scale = max(np.max(fftconvolve(np.abs(g), w.offsets, mode="same")) for g in f)
     # a stack of fields applies field by field
     assert np.max(np.abs(riesz._fft_apply(w.spectrum, f) - oracle)) < 1e-13 * scale
+
+
+def _scipy_apply(offsets, values):
+    """The 1-D Toeplitz apply as it stood on `scipy.fft` (the oracle)."""
+    n = values.shape[-1]
+    size = sfft.next_fast_len(2 * n - 1, real=True)
+    spectrum = sfft.rfftn(np.flip(offsets), [size])
+    out = sfft.irfftn(sfft.rfftn(values, [size], axes=(-1,)) * spectrum,
+                      [size], axes=(-1,))
+    return out[..., n - 1:2 * n - 1]
+
+
+@pytest.mark.parametrize("n", [257, 1000, 4096])
+def test_1d_applies_bit_identical_to_scipy(n):
+    dom = interval(0.0, 1.0, n)
+    mu = 0.64
+    f = np.random.default_rng(n).normal(size=(2, n))
+    w = riesz.build_weights(dom, mu)
+    for g in f:
+        old = _scipy_apply(w.offsets, g) + g[:1] * w.edge_x + g[-1:] * w.edge_y
+        assert np.array_equal(riesz.convolve(w, GridField(dom, g)).values, old)
+    scale = dom.spacings()[0] ** (-mu) / (mu * (1.0 - mu))
+    gen, left, right = riesz._hat_weights(n, 1.0 - mu, True, scale)
+    old = _scipy_apply(gen, f) + f[..., :1] * left + f[..., -1:] * right
+    assert np.array_equal(riesz.moment_apply(dom, mu, f), old)
+
+
+def test_interleaved_2d_applies_match_fftconvolve():
+    """The 2-D work arrays leak nothing between grids, weights, stack shapes
+    or repeated applies of one shape, and no result is a view of them."""
+    small, large = rectangle(0.0, 1.0, 0.0, 1.0, 24), rectangle(0.0, 1.4, 0.0, 0.9, 37)
+    weights = [riesz.build_weights(small, 0.7), riesz.build_weights(large, 1.1),
+               riesz.build_weights(large, 1.6)]
+    rng = np.random.default_rng(5)
+    results = []
+    for _ in range(3):
+        for w in weights:
+            n = w.domain.n_grid
+            # two single fields in a row reuse the work arrays
+            fields = (rng.normal(size=(n, n)), rng.normal(size=(n, n)),
+                      rng.normal(size=(2, n, n)))
+            for f in fields:
+                out = riesz._fft_apply(w.spectrum, f)
+                oracle = np.array([fftconvolve(g, w.offsets, mode="same")
+                                   for g in f.reshape(-1, n, n)]).reshape(f.shape)
+                scale = np.max(np.abs(oracle))
+                assert np.max(np.abs(out - oracle)) < 1e-13 * scale
+                results.append(out)
+    for i, a in enumerate(results):
+        assert not any(np.shares_memory(a, b) for b in results[i + 1:])
+
+
+def _quarter_12(dom, mu):
+    """The quarter table with the 12-point rule on every far offset."""
+    n = dom.n_grid
+    hx, hy = dom.spacings()
+    offs = np.arange(-(n - 1), n)
+    q = riesz._gauss_quarter(offs[:, None], offs[None, :], hx, hy, mu,
+                             np.polynomial.legendre.leggauss(12))
+    near = offs[np.abs(offs) <= 4]
+    q[np.ix_(near + n - 1, near + n - 1)] = riesz._gauss_quarter(
+        near[:, None], near[None, :], hx, hy, mu,
+        np.polynomial.legendre.leggauss(40))
+    q[n - 1, n - 1] = riesz._singular_quadrant(hx / 2.0, hy / 2.0, mu)
+    return q
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(40, 96), mu=st.floats(0.05, 1.95),
+       ratio=st.floats(0.25, 4.0))
+def test_graded_build_matches_12_point_rule(n, mu, ratio):
+    # N >= 40 reaches past 16 cells on the coarser axis, so every tier acts
+    dom = rectangle(0.0, 1.0, 0.0, ratio, n)
+    w = riesz.build_weights(dom, mu)
+    table, ex, ey, corners = riesz._cell_tables(_quarter_12(dom, mu))
+    pairs = [(w.offsets, table), (w.edge_x, ex), (w.edge_y, ey)]
+    pairs += [(w.corners[k], corners[k]) for k in corners]
+    for fast, oracle in pairs:
+        assert np.max(np.abs(fast - oracle) / oracle) < 1e-14

@@ -212,6 +212,25 @@ def test_cache_skips_1d(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_stale_format_cache_rebuilt_and_replaced(tmp_path):
+    """A file of another format version is never served: it is rebuilt and
+    replaced by a file of the current version."""
+    dom = rectangle(0.0, 1.4, 0.0, 0.9, 16)
+    fresh = riesz.load_or_build_weights(dom, 1.1, directory=str(tmp_path))
+    (path,) = tmp_path.glob("fhlw_*.npz")
+    with np.load(path) as data:
+        stale = {k: data[k] for k in data.files}
+    stale["format_version"] = np.array([2])
+    stale["offsets"] = 2.0 * stale["offsets"]
+    np.savez(path, **stale)
+    w = riesz.load_or_build_weights(dom, 1.1, directory=str(tmp_path))
+    assert _same_2d_weights(w, fresh)
+    with np.load(path) as data:
+        assert int(data["format_version"][0]) == riesz._CACHE_FORMAT_VERSION
+        assert np.array_equal(data["offsets"], fresh.offsets)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
 @pytest.mark.parametrize("keep", [0, 0.5])
 def test_damaged_cache_rebuilt_and_replaced(tmp_path, monkeypatch, keep):
     """A truncated (or empty) cache file is rebuilt, and the rebuild
