@@ -311,8 +311,7 @@ def build_weights(domain: DomainSpec, mu) -> RieszWeights:
 def _strip(edge, table):
     """A strip table convolved along its boundary with that edge's values."""
     n = len(edge)
-    return fftconvolve(np.tile(edge[:, None], (1, n)), table, mode="full",
-                       axes=0)[n - 1:2 * n - 1, :]
+    return fftconvolve(edge[:, None], table, mode="full", axes=0)[n - 1:2 * n - 1, :]
 
 
 def convolve(weights: RieszWeights, f: GridField) -> GridField:

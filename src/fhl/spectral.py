@@ -8,7 +8,8 @@ completion is the recorded truncation-tail estimate.  Rectangle sums carry
 a Gaussian spectral mollifier at the eigenvalue cutoff instead: the raw
 sorted-mode partial sums of the 2-D series do not converge at desk-scale
 truncations, while the mollified sum is accurate down to offsets of a few
-multiples of the cutoff length 1/sqrt(lambda_K).
+multiples of the cutoff length 1/sqrt(lambda_K).  Its modes are products
+of per-axis sines, so it is a bilinear form in the points' sine vectors.
 """
 
 from __future__ import annotations
@@ -53,21 +54,23 @@ class EigenBasis:
 
     def _green_arrays(self, s):
         """The mode arrays of the Green sums that depend only on (basis, s),
-        computed on first use and read-only: (k pi/L)^(-2s) on an interval,
-        (lambda^s, w8, w16) on a rectangle, with the mollifier weights
+        computed on first use and read-only: (k pi/L)^(-2s) on an interval;
+        on a rectangle the (2, kx_max, ky_max) box of w/lambda^s at each mode
+        (kx, ky) and 0 elsewhere, for the mollifier weights
         w8 = exp(-8 (lambda/lambda_K)^2) and w16 = w8^2."""
         key = float(s)
         if key not in self._green_cache:
             if self.dim == 1:
                 k = self.modes.astype(float)
-                arrays = ((k * math.pi / self.domain.sides[0]) ** (-2.0 * s),)
+                amp = (k * math.pi / self.domain.sides[0]) ** (-2.0 * s)
             else:
                 lam = self.lambdas
                 w8 = np.exp(-_MOLL_C * (lam / lam[-1]) ** 2)
-                arrays = (lam ** s, w8, w8 * w8)
-            for a in arrays:
-                a.flags.writeable = False
-            self._green_cache[key] = arrays
+                kx, ky = self._axis_modes()
+                amp = np.zeros((2, kx.max(), ky.max()))
+                amp[:, kx - 1, ky - 1] = np.stack([w8, w8 * w8]) / lam ** s
+            amp.flags.writeable = False
+            self._green_cache[key] = (amp,)
         return self._green_cache[key]
 
     def sine_tables(self):
@@ -97,24 +100,12 @@ class EigenBasis:
         return self._sine_tables
 
     def phi_at(self, point):
-        """phi_k(point) for all K modes at one interior point; O(K)."""
-        # one factor at a time, left to right: regrouping the product moves
-        # the rectangle's Green values in the last bit
+        """phi_k(point) for all K modes at one point: the per-mode oracle."""
         vals = 1.0
         for k, (lo, _), length, x in zip(self._axis_modes(), self.domain.ranges(),
                                          self.domain.sides, point):
             vals = vals * math.sqrt(2.0 / length) * np.sin(
                 k * math.pi * (x - lo) / length)
-        return vals
-
-    def _phi(self, point):
-        """phi_at(point), bit for bit, with sin evaluated once per distinct
-        k of each axis and gathered to the K modes."""
-        vals = 1.0
-        for k, (lo, _), length, x in zip(self._axis_modes(), self.domain.ranges(),
-                                         self.domain.sides, point):
-            sines = np.sin(np.arange(1, k.max() + 1) * math.pi * (x - lo) / length)
-            vals = vals * math.sqrt(2.0 / length) * sines[k - 1]
         return vals
 
 
@@ -267,28 +258,32 @@ def _green_interval(basis: EigenBasis, s, x, y):
     return val + correction, abs(correction)
 
 
-def _green_rectangle(basis: EigenBasis, s, phi_p, phi_q):
-    lam_s, w8, w16 = basis._green_arrays(s)
-    prod = phi_p * phi_q / lam_s
-    v8 = float(np.sum(w8 * prod))
-    v16 = float(np.sum(w16 * prod))
-    return v8, abs(v8 - v16)
-
-
 def _green_from(basis: EigenBasis, s, p):
     """G(p, .) at an interior point p, as a function of an interior q != p
     returning (value, truncation-tail estimate); the work that depends on p
-    alone (phi(p) on a rectangle) is done here, once."""
+    alone is done here, once: on a rectangle, p's per-axis sines are folded
+    into the box C of _green_arrays, G = sx(q1) . (C sx(p1) sy(p2)) . sy(q2)."""
     if basis.dim == 1:
         def at(q):
             _require_interior(basis.domain, q)
             return _green_interval(basis, s, p[0], q[0])
-    else:
-        phi_p = basis._phi(p)
+        return at
+    (coef,) = basis._green_arrays(s)
+    axes = list(zip(coef.shape[1:], basis.domain.ranges(), basis.domain.sides))
 
-        def at(q):
-            _require_interior(basis.domain, q)
-            return _green_rectangle(basis, s, phi_p, basis._phi(q))
+    def sines(point):
+        return [math.sqrt(2.0 / length) * np.sin(
+            np.arange(1, k_top + 1) * math.pi * (x - lo) / length)
+            for (k_top, (lo, _), length), x in zip(axes, point)]
+
+    sx_p, sy_p = sines(p)
+    mp = coef * sx_p[:, None] * sy_p
+
+    def at(q):
+        _require_interior(basis.domain, q)
+        sx_q, sy_q = sines(q)
+        v8, v16 = ((mp @ sy_q) @ sx_q).tolist()
+        return v8, abs(v8 - v16)
     return at
 
 
