@@ -145,13 +145,15 @@ def _json_dump(obj, path):
 
 
 def _write_solution_csv(path, record):
+    """x[,y],u rows as csv.writer writes them (no %g field needs quoting),
+    streamed rather than joined so the file never sits in memory whole."""
     dom = record.grid.domain
-    nodes = itertools.product(*dom.axes())   # row-major, like values.ravel()
+    nodes = itertools.product(*(x.tolist() for x in dom.axes()))   # row-major
+    row = ",".join([_FMT] * (dom.dim + 1)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"][:dom.dim] + ["u"])
-        for node, u in zip(nodes, record.grid.values.ravel()):
-            writer.writerow([_FMT % c for c in (*node, u)])
+        fh.write(",".join(["x", "y"][:dom.dim] + ["u"]) + "\r\n")
+        fh.writelines(row % (*node, u) for node, u in
+                      zip(nodes, record.grid.values.ravel().tolist()))
 
 
 # --------------------------------------------------------------------------

@@ -321,9 +321,10 @@ def convolve(weights: RieszWeights, f: GridField) -> GridField:
     vals = f.values
     out = _fft_apply(weights.spectrum, vals)
     if weights.domain.dim == 1:
-        # the end columns carry half hats
-        return GridField(weights.domain, out + vals[..., :1] * weights.edge_x
-                         + vals[..., -1:] * weights.edge_y)
+        # the end columns carry half hats; a Dirichlet field has none
+        if np.any(vals[..., [0, -1]]):
+            out = out + vals[..., :1] * weights.edge_x + vals[..., -1:] * weights.edge_y
+        return GridField(weights.domain, out)
     n = weights.domain.n_grid
     # subtract the overhang of boundary-node cells, restore corner pieces
     ends = ((0, slice(None)), (n - 1, slice(None, None, -1)))

@@ -130,10 +130,12 @@ def _relative_defect(a, denom, b):
 
 
 def _nonlinear_rhs(weights: RieszWeights, u_vals, p):
-    """(|x|^{-mu} * u^p) u^{p-1} on the grid, clamping negative ripple."""
-    up = np.maximum(u_vals, 0.0) ** p
-    conv = riesz.convolve(weights, GridField(weights.domain, up)).values
-    return conv * np.maximum(u_vals, 0.0) ** (p - 1.0)
+    """(|x|^{-mu} * u^p) u^{p-1} on the grid, clamping negative ripple;
+    u^p is formed as u^{p-1} u, so each call takes one power."""
+    pos = np.maximum(u_vals, 0.0)
+    tail = pos ** (p - 1.0)
+    conv = riesz.convolve(weights, GridField(weights.domain, tail * pos)).values
+    return conv * tail
 
 
 def _seed_values(seed: Seed, params, domain, basis):
@@ -188,10 +190,15 @@ def _solve_fixed_point(params, domain, basis, weights, opts, p, denom):
         res = _relative_defect(a, denom, b / m)
         if res < opts.residual_tol:
             break
-        u_new = (1.0 - theta) * u + theta * v / m
-        top = np.max(u_new)
-        u_new = u_new / top
-        if _interior_min(u_new) < -opts.positivity_tol * np.max(u_new):
+        # renormalize to max 1 (x / x == 1 exactly); v / m already has it
+        if theta == 1.0:
+            u_new, a_new = v / m, b / (denom * m)
+        else:
+            u_new = (1.0 - theta) * u + theta * v / m
+            top = np.max(u_new)
+            u_new /= top
+            a_new = ((1.0 - theta) * a + theta * b / (denom * m)) / top
+        if _interior_min(u_new) < -opts.positivity_tol:
             halvings += 1
             if halvings > 5:
                 raise PositivityLost(
@@ -199,8 +206,7 @@ def _solve_fixed_point(params, domain, basis, weights, opts, p, denom):
                     f"sup after {halvings} damping halvings")
             theta *= 0.5
             continue
-        u = u_new
-        a = ((1.0 - theta) * a + theta * b / (denom * m)) / top
+        u, a = u_new, a_new
     t = m ** (-1.0 / (degree - 1.0))
     return t * u, t * a, res, it
 

@@ -10,6 +10,13 @@ sorted-mode partial sums of the 2-D series do not converge at desk-scale
 truncations, while the mollified sum is accurate down to offsets of a few
 multiples of the cutoff length 1/sqrt(lambda_K).  Its modes are products
 of per-axis sines, so it is a bilinear form in the points' sine vectors.
+
+Analysis and synthesis are a DST-I on an interval.  On a rectangle they
+are parity-folded products: the sampled modes are mirror-symmetric, so
+each axis takes two half-size products, one with the odd-k rows on mirror
+sums and one with the even-k rows on mirror differences.  Synthesis is
+exactly zero on all four edges.  The dense `sine_tables` products stay as
+the test oracle.
 """
 
 from __future__ import annotations
@@ -40,6 +47,8 @@ class EigenBasis:
     lambdas: np.ndarray               # sorted ascending
     modes: np.ndarray                 # (K,) k indices or (K,2) (kx,ky) pairs
     _sine_tables: tuple | None = field(default=None, repr=False)
+    _folded: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
     # per-s mode arrays of the Green sums, filled by _green_arrays
     _green_cache: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
@@ -73,31 +82,58 @@ class EigenBasis:
             self._green_cache[key] = (amp,)
         return self._green_cache[key]
 
+    def _sampled_sines(self, cols):
+        """Per-axis sqrt(2/L) sin(k pi (x - lo)/L), k = 1 .. k_max, at the
+        node indices cols of every axis; at most _MAX_SAMPLED entries."""
+        kmax = [int(k.max()) for k in self._axis_modes()]
+        entries = sum(kmax) * len(cols)
+        if entries > _MAX_SAMPLED:
+            raise OutOfRange(
+                f"sampled sine tables of {entries} entries exceed the cap; "
+                "use series evaluation instead")
+        tables = []
+        for k_top, (lo, _), length, x in zip(kmax, self.domain.ranges(),
+                                             self.domain.sides, self.domain.axes()):
+            k = np.arange(1, k_top + 1, dtype=float)
+            tables.append(math.sqrt(2.0 / length) * np.sin(
+                np.outer(k, (x[cols] - lo)) * math.pi / length))
+        return tables
+
     def sine_tables(self):
         """Per-axis sampled sine modes k = 1 .. k_max (k_max x N).
 
         The endpoint columns are exact zeros (sin k pi = 0).  On an interval
         the one table is the whole K x N mode matrix, the dense oracle of
-        the DST-I transforms; on a rectangle the tables drive the separable
-        transforms.
+        the DST-I transforms; on a rectangle they are the dense oracle of
+        the folded transforms.
         """
         if self._sine_tables is None:
-            kmax = [int(k.max()) for k in self._axis_modes()]
-            entries = sum(kmax) * self.domain.n_grid
-            if entries > _MAX_SAMPLED:
-                raise OutOfRange(
-                    f"sampled sine tables of {entries} entries exceed the cap; "
-                    "use series evaluation instead")
-            tables = []
-            for k_top, (lo, _), length, x in zip(kmax, self.domain.ranges(),
-                                                 self.domain.sides, self.domain.axes()):
-                k = np.arange(1, k_top + 1, dtype=float)
-                table = math.sqrt(2.0 / length) * np.sin(
-                    np.outer(k, (x - lo)) * math.pi / length)
+            tables = self._sampled_sines(np.arange(self.domain.n_grid))
+            for table in tables:
                 table[:, [0, -1]] = 0.0
-                tables.append(table)
             self._sine_tables = tuple(tables)
         return self._sine_tables
+
+    def _folded_tables(self):
+        """Per-axis half tables of the folded rectangle transforms, and the
+        position of each mode in their parity-sorted coefficient box.
+
+        Per axis (odd, even): the odd-k rows k = 1, 3, .. at the nodes
+        j = 1 .. h - 1 (h = N // 2), plus the middle node on an odd grid,
+        and the even-k rows at j = 1 .. h - 1.  The box is (kx, ky) with
+        the odd k of each axis before its even k.
+        """
+        if self._folded is None:
+            n = self.domain.n_grid
+            h = n // 2
+            tables = self._sampled_sines(np.arange(1, h + n % 2))
+            halves = tuple((np.ascontiguousarray(t[0::2]),
+                            np.ascontiguousarray(t[1::2, :h - 1])) for t in tables)
+            _, (odd_y, even_y) = halves
+            pos = [(k - 1) // 2 + (k % 2 == 0) * len(odd)
+                   for k, (odd, _) in zip(self._axis_modes(), halves)]
+            self._folded = halves + (pos[0] * (len(odd_y) + len(even_y)) + pos[1],)
+        return self._folded
 
     def phi_at(self, point):
         """phi_k(point) for all K modes at one point: the per-mode oracle."""
@@ -166,6 +202,50 @@ def build_basis(domain: DomainSpec, K) -> EigenBasis:
 # DST-I sums 2 sin(.)); any K <= N - 2 leading modes are orthonormal under
 # the trapezoid product, hence analysis(synthesis(a)) = a.
 
+# On a rectangle the grid is the same on both axes and the sampled modes
+# are mirror-symmetric, S[k, N-1-j] = (-1)^(k+1) S[k, j]: along each axis
+# the odd k see only f[j] + f[N-1-j] (and the middle node of an odd grid),
+# the even k only f[j] - f[N-1-j], for 0 < j < N/2.  Each transform is two
+# half-size products per axis; the endpoint trapezoid half-weights only
+# ever meet exact-zero sines, so analysis scales by hx hy once at the end,
+# and synthesis leaves all four edges exactly zero.
+
+def _fold(vals, axis):
+    """Mirror sums and differences along axis of the slices j and N-1-j,
+    j = 1 .. h - 1 (h = N // 2); the middle slice of an odd grid closes the
+    sums."""
+    n = vals.shape[axis]
+    h = n // 2
+    shape = list(vals.shape)
+    shape[axis] = h - 1
+    minus = np.empty(shape)
+    shape[axis] += n % 2
+    plus = np.empty(shape)
+    v, p = vals.swapaxes(0, axis), plus.swapaxes(0, axis)
+    lo, hi = v[1:h], v[n - h:n - 1][::-1]
+    np.add(lo, hi, out=p[:h - 1])
+    np.subtract(lo, hi, out=minus.swapaxes(0, axis))
+    if n % 2:
+        p[-1] = v[h]
+    return plus, minus
+
+
+def _unfold(plus, minus, axis):
+    """The array of N slices along axis whose fold is (plus, minus); the
+    slices 0 and N-1 are zero."""
+    n = plus.shape[axis] + minus.shape[axis] + 2
+    h = n // 2
+    shape = list(plus.shape)
+    shape[axis] = n
+    out = np.zeros(shape)
+    o, p, m = (a.swapaxes(0, axis) for a in (out, plus, minus))
+    np.add(p[:h - 1], m, out=o[1:h])
+    np.subtract(p[:h - 1], m, out=o[n - h:n - 1][::-1])
+    if n % 2:
+        o[h] = p[-1]
+    return out
+
+
 def _dst_scale(domain: DomainSpec):
     return math.sqrt(2.0 / domain.sides[0]) / 2.0
 
@@ -179,11 +259,13 @@ def synthesis(f: SpectralField) -> GridField:
         vals = np.zeros(n)   # exact zeros at the two Dirichlet nodes
         vals[1:-1] = _dst_scale(basis.domain) * dst(padded, type=1)
         return GridField(basis.domain, vals)
-    sx, sy = basis.sine_tables()
-    kx_max, ky_max = sx.shape[0], sy.shape[0]
-    amat = np.zeros((kx_max, ky_max))
-    amat[basis.modes[:, 0] - 1, basis.modes[:, 1] - 1] = f.coeffs
-    return GridField(basis.domain, sx.T @ amat @ sy)
+    (odd_x, even_x), (odd_y, even_y), pos = basis._folded_tables()
+    kx_odd, ky_odd = len(odd_x), len(odd_y)
+    box = np.zeros((kx_odd + len(even_x), ky_odd + len(even_y)))
+    box.ravel()[pos] = f.coeffs
+    rows = _unfold(box[:, :ky_odd] @ odd_y, box[:, ky_odd:] @ even_y, 1)
+    vals = _unfold(odd_x.T @ rows[:kx_odd], even_x.T @ rows[kx_odd:], 0)
+    return GridField(basis.domain, vals)
 
 
 def analysis(basis: EigenBasis, u: GridField) -> SpectralField:
@@ -193,10 +275,13 @@ def analysis(basis: EigenBasis, u: GridField) -> SpectralField:
         h = basis.domain.spacings()[0]
         coeffs = h * _dst_scale(basis.domain) * dst(u.values[1:-1], type=1)
         return SpectralField(basis, coeffs[:basis.K])
-    wx, wy = basis.domain.trap_weights()
-    sx, sy = basis.sine_tables()
-    amat = sx @ (wx[:, None] * u.values * wy[None, :]) @ sy.T
-    return SpectralField(basis, amat[basis.modes[:, 0] - 1, basis.modes[:, 1] - 1])
+    (odd_x, even_x), (odd_y, even_y), pos = basis._folded_tables()
+    plus, minus = _fold(u.values, 0)
+    rows = np.concatenate([odd_x @ plus, even_x @ minus])
+    plus, minus = _fold(rows, 1)
+    box = np.concatenate([plus @ odd_y.T, minus @ even_y.T], axis=1)
+    hx, hy = basis.domain.spacings()
+    return SpectralField(basis, box.ravel()[pos] * (hx * hy))
 
 
 def apply_As(f: SpectralField, s) -> SpectralField:

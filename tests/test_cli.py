@@ -1,10 +1,15 @@
+import csv
+import itertools
 import json
 import os
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from fhl.cli import parse_config, run_command, serialize_config
+from fhl.cli import _write_solution_csv, parse_config, run_command, serialize_config
 from fhl.errors import MissingRequired, UnknownKey, WrongType
+from fhl.grids import GridField, interval, rectangle
 
 GOOD = """
 # reference config
@@ -153,3 +158,20 @@ def test_solve_rectangle_csv(tmp_path, monkeypatch):
     assert [tuple(map(float, row.split(",")[:2])) for row in lines[1:3]] == [
         (0.0, 0.0), (0.0, pytest.approx(0.9 / 31, rel=1e-11))]
     assert tuple(map(float, lines[-1].split(",")[:2])) == (1.4, 0.9)
+
+
+@pytest.mark.parametrize("dom", [interval(-0.5, 0.9, 37), rectangle(0.0, 1.4, -0.2, 0.9, 19)],
+                         ids=["interval", "rectangle"])
+def test_solution_csv_matches_csv_writer(tmp_path, dom):
+    """The streamed rows are byte for byte what csv.writer writes."""
+    rng = np.random.default_rng(3)
+    vals = rng.normal(size=dom.shape) * 10.0 ** rng.integers(-9, 9, size=dom.shape)
+    vals.flat[:3] = (0.0, -0.0, 1e-300)
+    record = SimpleNamespace(grid=GridField(dom, vals))
+    _write_solution_csv(tmp_path / "fast.csv", record)
+    with open(tmp_path / "slow.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y"][:dom.dim] + ["u"])
+        for node, u in zip(itertools.product(*dom.axes()), vals.ravel()):
+            writer.writerow(["%.12g" % c for c in (*node, u)])
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()

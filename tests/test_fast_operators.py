@@ -3,7 +3,9 @@
 `riesz._build_1d`, `riesz.moment_weights_1d` and `EigenBasis.sine_tables`
 (on an interval, the dense K x N mode matrix) stay as oracles: property
 tests over random N, mu and fields, plus one check at the sweep's grid,
-N = 4096, with the sweep's kernel exponent.
+N = 4096, with the sweep's kernel exponent.  On a rectangle the sine
+tables' dense products check the parity-folded transforms, on even and
+odd grids.
 
 The 2-D apply is checked against a dense quarter-cell quadrature built
 here, and its table term against `fftconvolve` on the stored table.  The
@@ -14,7 +16,7 @@ rule on every offset, and the 1-D applies against a copy of the
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import fft as sfft
 from scipy.signal import fftconvolve
 
@@ -80,6 +82,36 @@ def test_sine_transforms_match_phi_grid(n, frac, length, seed):
     assert np.max(np.abs(v - phi.T @ c)) < 1e-12 * amp * np.sum(np.abs(c))
     back = spectral.analysis(basis, GridField(dom, v)).coeffs
     assert np.max(np.abs(back - c)) < 1e-12 * np.sum(np.abs(c))
+
+
+@PROPERTY
+@given(n=st.integers(16, 96), aspect=LENGTHS, frac=st.floats(0.0, 1.0), seed=SEEDS)
+@example(n=17, aspect=0.25, frac=1.0, seed=1)
+@example(n=33, aspect=4.0, frac=0.0, seed=2)
+@example(n=37, aspect=1.7, frac=0.5, seed=3)
+def test_folded_rectangle_transforms_match_dense(n, aspect, frac, seed):
+    """Folded analysis and synthesis against the dense products
+    sx (wx U wy) sy^T and sx^T A sy, to 1e-13 of the sum of |terms|."""
+    dom = rectangle(-0.3, 0.7, 0.1, 0.1 + aspect, n)
+    basis = spectral.build_basis(dom, 1 + int(frac * ((n // 2) ** 2 - 1)))
+    sx, sy = basis.sine_tables()
+    kx, ky = basis.modes[:, 0] - 1, basis.modes[:, 1] - 1
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(n, n))
+    wx, wy = dom.trap_weights()
+    wu = wx[:, None] * u * wy[None, :]
+    a = spectral.analysis(basis, GridField(dom, u)).coeffs
+    terms = (np.abs(sx) @ np.abs(wu) @ np.abs(sy).T)[kx, ky]
+    assert np.all(np.abs(a - (sx @ wu @ sy.T)[kx, ky]) <= 1e-13 * terms)
+    amat = np.zeros((sx.shape[0], sy.shape[0]))
+    amat[kx, ky] = rng.normal(size=basis.K)
+    v = spectral.synthesis(SpectralField(basis, amat[kx, ky])).values
+    terms = np.abs(sx).T @ np.abs(amat) @ np.abs(sy)
+    assert np.all(np.abs(v - sx.T @ amat @ sy) <= 1e-13 * terms)
+    for edge in (v[0], v[-1], v[:, 0], v[:, -1]):
+        assert np.all(edge == 0.0)
+    back = spectral.analysis(basis, GridField(dom, v)).coeffs
+    assert np.max(np.abs(back - amat[kx, ky])) < 1e-12 * np.sum(np.abs(amat))
 
 
 @pytest.fixture(scope="module")

@@ -89,6 +89,20 @@ def test_positivity():
     assert np.all(out >= 0.0)
 
 
+@pytest.mark.parametrize("ends", [(0.0, 0.0), (0.7, 0.0), (0.0, -1.3)],
+                         ids=["dirichlet", "left", "right"])
+def test_convolve_1d_end_columns_identical(ends):
+    """convolve equals always adding the half-hat end columns, whether it
+    skips them (zero ends) or adds them."""
+    dom = interval(-0.2, 1.1, 301)
+    w = riesz.build_weights(dom, 0.4)
+    f = np.random.default_rng(6).normal(size=(2, 301))
+    f[:, [0, -1]] = ends
+    always = riesz._fft_apply(w.spectrum, f) + f[..., :1] * w.edge_x + f[..., -1:] * w.edge_y
+    for row, expect in zip(f, always):
+        assert np.array_equal(riesz.convolve(w, GridField(dom, row)).values, expect)
+
+
 def test_grid_mismatch():
     w = riesz.build_weights(interval(0.0, 1.0, 64), 0.4)
     other = GridField(interval(0.0, 2.0, 64), np.ones(64))

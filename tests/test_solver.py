@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fhl import constants, riesz, solver, spectral
-from fhl.errors import NoConvergence, OutOfRange, ResonantEps, ZeroField
+from fhl.errors import (NoConvergence, OutOfRange, PositivityLost, ResonantEps,
+                        ZeroField)
 from fhl.grids import GridField, interval, rectangle
 from fhl.model import Regime, exponents, make_params
 from fhl.solver import Seed, SolveOptions
@@ -318,3 +319,35 @@ def test_bubble_cap_seed_values(dom, centre):
     peak = alpha * lam0 ** ((n - 0.9) / 2.0)
     assert cap[centre] == pytest.approx(peak, rel=1e-14)
     assert float(np.max(cap)) == cap[centre]
+
+
+@pytest.mark.parametrize("dom, mu", [(interval(0.0, 1.0, 256), 0.4),
+                                     (rectangle(0.0, 1.4, 0.0, 0.9, 48), 1.2)],
+                         ids=["interval", "rectangle"])
+def test_nonlinear_rhs_one_power(dom, mu):
+    """u^{p-1} u in place of u^p: the two-power form to 1e-14 relative, on
+    a field with negative ripple (clamped) and exact zeros."""
+    weights = riesz.build_weights(dom, mu)
+    bump = np.prod([np.sin(math.pi * (x - lo) / (hi - lo))
+                    for (lo, hi), x in zip(dom.ranges(), dom.mesh())], axis=0)
+    u = bump - 0.05 + 0.01 * np.random.default_rng(4).normal(size=dom.shape)
+    u[u < 0.02] = 0.0
+    u.flat[::5] -= 0.03
+    assert np.any(u < 0.0) and np.any(u == 0.0)
+    for p in (1.37, 2.0, 2.9):
+        pos = np.maximum(u, 0.0)
+        conv = riesz.convolve(weights, GridField(dom, pos ** p)).values
+        two_power = conv * pos ** (p - 1.0)
+        fast = solver._nonlinear_rhs(weights, u, p)
+        assert np.max(np.abs(fast - two_power)) <= 1e-14 * np.max(np.abs(two_power))
+        assert np.all(fast[u <= 0.0] == 0.0)
+
+
+def test_positivity_guard_halves_then_raises(small_setup):
+    """A warm start with a full negative lobe trips the guard at every
+    damping: theta halves five times and the sixth trip raises."""
+    params, dom, basis, weights = small_setup
+    seed = Seed.warm_start(GridField(dom, np.sin(2.0 * math.pi * dom.axes()[0])))
+    opts = SolveOptions(theta=0.5, seed=seed)
+    with pytest.raises(PositivityLost, match="after 6 damping halvings"):
+        solver.solve_subcritical(params, dom, basis, weights, opts)
