@@ -8,9 +8,11 @@ alpha_nmus for the Hartree extremal.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.integrate import quad
+from scipy.interpolate import RegularGridInterpolator
 
 from . import constants, riesz
 from .errors import (DegenerateScale, EmptyWindow, EvaluationAtOrigin,
@@ -136,8 +138,6 @@ def hls_quotient(bubble: Bubble):
         raise OutOfRange("hls_quotient requires eps = 0")
     exp = exponents(p)
     prof = radial_profile(bubble)
-    from .constants import sigma_n
-    from scipy.integrate import quad
 
     def g(r):
         return r ** (p.n - 1) * prof(r) ** exp.two_sharp
@@ -145,7 +145,7 @@ def hls_quotient(bubble: Bubble):
     head, _ = quad(g, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=400)
     tail, _ = quad(lambda t: g(t / (1.0 - t)) / (1.0 - t) ** 2, 0.5, 1.0,
                    epsabs=1e-14, epsrel=1e-12, limit=400)
-    integral = sigma_n(p.n) * (head + tail)
+    integral = constants.sigma_n(p.n) * (head + tail)
     d_val = constants.beta_tilde_nmus(p.n, p.mu, p.s) * integral
     return d_val ** (1.0 - 1.0 / exp.two_star)
 
@@ -159,9 +159,8 @@ def hls_tail_bound(bubble: Bubble):
     p = bubble.params
     exp = exponents(p)
     r = 1.0e4
-    amp = bubble.amplitude
-    from .constants import sigma_n
-    return sigma_n(p.n) * amp ** exp.two_sharp * bubble.lam ** (-p.n) * r ** (-p.n) / p.n
+    return (constants.sigma_n(p.n) * bubble.amplitude ** exp.two_sharp
+            * bubble.lam ** (-p.n) * r ** (-p.n) / p.n)
 
 
 def _centered_domain(params: Params, window, m):
@@ -178,39 +177,33 @@ def rescale(u: GridField, sup_norm, argmax, params: Params,
 
     v(x) = u(scale * x + argmax) / mu_eps with mu_eps = sup_norm / alpha_ns
     and scale = mu_eps^{-(2# - 2 - eps)/(2s)}, sampled on a centered window
-    grid by linear interpolation; v(0) = alpha_ns by construction.
+    grid by (multi)linear interpolation; v(0) = alpha_ns by construction.
     """
     if not sup_norm > 0.0:
         raise DegenerateScale(f"sup_norm must be positive, got {sup_norm}")
     exp = exponents(params)
-    alpha = constants.alpha_nmus(params.n, params.n - 2.0 * params.s, params.s)
-    mu_eps = sup_norm / alpha
+    mu_eps = sup_norm / unit_w(params).amplitude
     scale = mu_eps ** (-(exp.two_sharp - 2.0 - params.eps) / (2.0 * params.s))
     out_dom = _centered_domain(params, window, m_out)
     axes = u.domain.axes()
-    if params.n == 1:
-        xi = out_dom.axes()[0]
-        xx = scale * xi + argmax[0]
-        xx = np.clip(xx, axes[0][0], axes[0][-1])
-        vals = np.interp(xx, axes[0], u.values) / mu_eps
-    else:
-        xo = out_dom.axes()[0]
-        xx = np.clip(scale * xo + argmax[0], axes[0][0], axes[0][-1])
-        yy = np.clip(scale * xo + argmax[1], axes[1][0], axes[1][-1])
-        from scipy.interpolate import RegularGridInterpolator
-        itp = RegularGridInterpolator((axes[0], axes[1]), u.values)
-        gx, gy = np.meshgrid(xx, yy, indexing="ij")
-        vals = itp(np.stack([gx, gy], axis=-1)) / mu_eps
+    coords = [np.clip(scale * xo + c, ax[0], ax[-1])
+              for xo, c, ax in zip(out_dom.axes(), argmax, axes)]
+    points = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)
+    vals = RegularGridInterpolator(axes, u.values)(points) / mu_eps
     return GridField(out_dom, vals)
+
+
+def unit_w(params: Params) -> Bubble:
+    """W[0, 1] at mu = n - 2s, the limit profile of the blow-up rescaling."""
+    return Bubble(BubbleFamily.HARTREE_W, (0.0,) * params.n, 1.0,
+                  replace(params, mu=params.n - 2.0 * params.s))
 
 
 def profile_distance(v: GridField, params: Params, window) -> float:
     """sup over grid points |x| <= window of |v - W[0,1]|."""
-    alpha = constants.alpha_nmus(params.n, params.n - 2.0 * params.s, params.s)
-    e = (params.n - 2.0 * params.s) / 2.0
-    r2 = sum(x ** 2 for x in v.domain.mesh())
-    mask = r2 <= window * window
+    points = np.stack(v.domain.mesh(), axis=-1)
+    mask = np.sum(points ** 2, axis=-1) <= window * window
     if not np.any(mask):
         raise EmptyWindow(f"no grid points with |x| <= {window}")
-    w_ref = alpha * (1.0 / (1.0 + r2[mask])) ** e
+    w_ref = eval_bubble(unit_w(params), points[mask])
     return float(np.max(np.abs(v.values[mask] - w_ref)))

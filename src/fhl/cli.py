@@ -122,7 +122,11 @@ def _seed_from_config(cfg):
     if spec == "first_eigenfunction":
         return Seed.first_eigenfunction()
     if spec.startswith("bubble_cap:"):
-        return Seed.bubble_cap(float(spec.split(":", 1)[1]))
+        try:
+            lam0 = float(spec.split(":", 1)[1])
+        except ValueError:
+            raise WrongType(f"config key 'seed': cannot read the scale of {spec!r}")
+        return Seed.bubble_cap(lam0)
     raise WrongType(f"unknown seed spec {spec!r}")
 
 
@@ -239,8 +243,6 @@ def _cmd_bubble(args):
 
 
 def _cmd_robin(args):
-    if args.domain != "interval":
-        raise WrongType("robin command supports --domain interval")
     dom = interval(args.a, args.b, args.grid)
     basis = spectral.build_basis(dom, args.modes)
     # sample away from the boundary, where the singularity subtraction is
@@ -287,11 +289,15 @@ def _cmd_continuation(args):
     with open(args.config) as fh:
         cfg, warnings = parse_config(fh.read())
     if args.eps:
-        eps_list = [float(v) for v in args.eps.split(",")]
+        text, key = args.eps, "--eps"
     elif cfg["eps_list"]:
-        eps_list = [float(v) for v in cfg["eps_list"].split(",")]
+        text, key = cfg["eps_list"], "config key 'eps_list'"
     else:
         raise MissingRequired("an eps list is required (--eps or eps_list=)")
+    try:
+        eps_list = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise WrongType(f"{key}: cannot read {text!r} as comma-separated floats")
     params, domain, basis, weights, opts = _solve_setup(cfg, eps_list[0])
     t0 = time.time()
     report = diagnostics.continuation(params, domain, eps_list, opts,
@@ -432,8 +438,7 @@ def build_parser():
     p.add_argument("--points", type=int, default=16)
     p.set_defaults(func=_cmd_bubble)
 
-    p = sub.add_parser("robin", help="Robin function table")
-    p.add_argument("--domain", default="interval")
+    p = sub.add_parser("robin", help="Robin function table on an interval")
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--s", type=float, required=True)

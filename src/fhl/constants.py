@@ -1,6 +1,7 @@
-"""Closed-form evaluation of the named constants via a Gamma-function chain.
+"""Closed-form evaluation of the named constants from the stdlib Gamma.
 
-All constants reduce to products and powers of Gamma values:
+All constants reduce to products and powers of Gamma values (math.gamma,
+behind the typed domain checks of gamma()):
 
     c_ns        = 2^{2s} (G((n+2s)/2) / G((n-2s)/2))^{(n-2s)/(4s)}
     C_HLS_sharp = pi^{mu/2} G((n-mu)/2)/G(n-mu/2) (G(n)/G(n/2))^{1-mu/n}
@@ -11,9 +12,9 @@ All constants reduce to products and powers of Gamma values:
     gamma_ns    = 2^{1-2s} G((n-2s)/2) / (sigma_n G(n/2) G(s))
     kappa_s     = G(1-s) / (2^{2s-1} G(s))      (extension normalization)
     sigma_n     = 2 pi^{n/2} / G(n/2)           (area of the unit sphere)
-    b_ns        = (sigma_n/2) G(s)G(n/2)/G((n+2s)/2) alpha_ns^{2#} beta~_ns
-                  with alpha_ns = alpha at mu = n-2s, 2# = 2n/(n-2s)
-    d_ns        = same shape as b_ns with the general-mu alpha and beta~
+    d_ns        = (sigma_n/2) G(s)G(n/2)/G((n+2s)/2) alpha_nmus^{2#} beta~_nmus
+                  with 2# = 2n/(n-2s)
+    b_ns        = d_ns at mu = n-2s
 
 while B_ns, M_ns, F_ns are radial integrals that the substitution t = r^2
 turns into Beta functions B(a, b) = G(a) G(b) / G(a+b):
@@ -34,43 +35,15 @@ from .errors import (DivergentIntegral, NonPositiveArgument, OutOfRange,
                      UnsupportedKind)
 from .model import Params
 
-# Lanczos approximation, g = 607/128, 15 terms (Godfrey's coefficients).
-# Relative accuracy ~1e-15 on (0, 172); no reflection needed for x > 0.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
-_TWO_PI = 2.0 * math.pi
-
 
 def gamma(x):
-    """Gamma(x) for x > 0 by the fixed-coefficient Lanczos sum."""
+    """Gamma(x) for 0 < x < 172, the range where it is finite in doubles."""
     x = float(x)
     if x <= 0.0:
         raise NonPositiveArgument(f"gamma requires x > 0, got {x}")
     if x >= 172.0:
         raise OutOfRange(f"gamma overflows double precision for x >= 172, got {x}")
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(_TWO_PI) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def sigma_n(n):
@@ -145,11 +118,8 @@ def f_big_ns(n, s):
 
 
 def small_b_ns(n, s):
-    """b_ns of the Green-function limit (mu = n - 2s specialization)."""
-    mu = n - 2.0 * s
-    two_sharp = 2.0 * n / (n - 2.0 * s)
-    pref = sigma_n(n) / 2.0 * gamma(s) * gamma(n / 2.0) / gamma((n + 2.0 * s) / 2.0)
-    return pref * alpha_nmus(n, mu, s) ** two_sharp * beta_tilde_nmus(n, mu, s)
+    """b_ns of the Green-function limit: d_ns at mu = n - 2s."""
+    return d_ns(n, n - 2.0 * s, s)
 
 
 def d_ns(n, mu, s):

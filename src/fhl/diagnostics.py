@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.interpolate import RegularGridInterpolator
 
 from . import bubbles, constants, riesz, solver, spectral
@@ -48,11 +49,6 @@ class ContinuationReport:
             "records": [r.to_dict() for r in self.records],
             "derived": self.derived,
         }
-
-
-def _with_eps(params: Params, eps):
-    return Params(n=params.n, s=params.s, mu=params.mu, eps=float(eps),
-                  regime=params.regime)
 
 
 def _strip_quantities(rec: SolutionRecord, margin):
@@ -96,7 +92,7 @@ def continuation(params: Params, domain: DomainSpec, eps_list, opts=None,
         weights = riesz.build_weights(domain, solver.kernel_exponent(params))
     seed = opts.seed
     for eps in eps_list:
-        p_eps = _with_eps(params, eps)
+        p_eps = replace(params, eps=eps)
         rec = solver.solve(p_eps, domain, basis, weights, replace(opts, seed=seed))
         seed = Seed.warm_start(rec.grid)
         report.records.append(rec)
@@ -124,10 +120,8 @@ def continuation(params: Params, domain: DomainSpec, eps_list, opts=None,
 
 def _domination_constant(v: GridField, params: Params, window):
     """Empirical smallest c with v <= c W[0,1] on the rescaled window."""
-    alpha = constants.alpha_nmus(params.n, params.n - 2.0 * params.s, params.s)
-    e = (params.n - 2.0 * params.s) / 2.0
-    r2 = sum(x ** 2 for x in v.domain.mesh())
-    w_ref = alpha * (1.0 / (1.0 + r2)) ** e
+    w_ref = bubbles.eval_bubble(bubbles.unit_w(params),
+                                np.stack(v.domain.mesh(), axis=-1))
     return float(np.max(np.maximum(v.values, 0.0) / w_ref))
 
 
@@ -204,19 +198,14 @@ def green_limit_check(record: SolutionRecord, basis, s, x0, sample_points):
     h = max(dom.spacings())
     rows = []
     b = constants.small_b_ns(record.params.n, record.params.s)
-    axes = dom.axes()
-    if dom.dim == 2:
-        itp = RegularGridInterpolator(axes, record.grid.values)
+    itp = RegularGridInterpolator(dom.axes(), record.grid.values)
     for x in sample_points:
         pt = spectral._as_point(x, dom.dim)
         dist = math.sqrt(sum((a - b0) ** 2 for a, b0 in zip(pt, x0)))
         if dist < 4.0 * h:
             raise SampleTooClose(
                 f"sample {pt} is {dist:.4g} from x0; need >= 4 grid cells ({4*h:.4g})")
-        if dom.dim == 1:
-            u_x = float(np.interp(pt[0], axes[0], record.grid.values))
-        else:
-            u_x = float(itp(pt))
+        u_x = float(itp(np.array([pt]))[0])
         g = spectral.green(basis, s, pt, tuple(x0))
         lhs = record.sup_norm * u_x
         rhs = b * g
@@ -308,8 +297,7 @@ def pohozaev_balance(record: SolutionRecord, params: Params, basis, weights, r):
     """
     dom = record.grid.domain
     n, s = params.n, params.s
-    p = exponents(params).p_sub if params.regime is Regime.SUBCRITICAL_HARTREE \
-        else exponents(params).two_star
+    p = solver._problem_terms(params)[0]
     q = math.floor(n / s) + 1
     interior_mask = dom.interior_mask(r / 2.0)
     if not np.any(interior_mask):
@@ -354,18 +342,9 @@ def pohozaev_free_space_gap(params: Params):
     n, s, mu = params.n, params.s, params.mu
     bub = bubbles.Bubble(bubbles.BubbleFamily.HARTREE_W, (0.0,) * n, 1.0, params)
     prof = bubbles.radial_profile(bub)
-    # route 1: closed-constant chain for the double integral
-    from scipy.integrate import quad
-    amp = bub.amplitude
-
-    def g(rr):
-        return rr ** (n - 1) * prof(rr) ** exp.two_sharp
-
-    head, _ = quad(g, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=400)
-    tail, _ = quad(lambda t: g(t / (1.0 - t)) / (1.0 - t) ** 2, 0.5, 1.0,
-                   epsabs=1e-14, epsrel=1e-12, limit=400)
+    # route 1: closed-form chain, INT W^{2#} = amp^{2#} B_ns for every (xi, lambda)
     d_chain = (constants.beta_tilde_nmus(n, mu, s)
-               * constants.sigma_n(n) * (head + tail))
+               * bub.amplitude ** exp.two_sharp * constants.b_big_ns(n))
     # route 2: nested radial quadrature of the same double integral
 
     def f(rr):

@@ -344,7 +344,7 @@ def convolve(weights: RieszWeights, f: GridField) -> GridField:
 # radial free-space quadrature
 # --------------------------------------------------------------------------
 
-def riesz_at_center(f_radial, params, tail_decay_check=True):
+def riesz_at_center(f_radial, params):
     """sigma_n INT_0^inf r^{n-1-mu} f(r) dr with an algebraic tail map.
 
     f_radial must decay fast enough for the tail to converge; a runtime
@@ -352,14 +352,13 @@ def riesz_at_center(f_radial, params, tail_decay_check=True):
     """
     from .constants import sigma_n
     n, mu = params.n, params.mu
-    if tail_decay_check:
-        r1, r2 = 1.0e3, 1.0e4
-        g1 = abs(f_radial(r1)) * r1 ** (n - mu)
-        g2 = abs(f_radial(r2)) * r2 ** (n - mu)
-        if g1 > 0.0 and g2 >= 0.999 * g1:
-            raise DivergentTail(
-                "integrand r^{n-1-mu} f(r) decays too slowly "
-                f"(r*integrand at 1e3: {g1:.3e}, at 1e4: {g2:.3e})")
+    r1, r2 = 1.0e3, 1.0e4
+    g1 = abs(f_radial(r1)) * r1 ** (n - mu)
+    g2 = abs(f_radial(r2)) * r2 ** (n - mu)
+    if g1 > 0.0 and g2 >= 0.999 * g1:
+        raise DivergentTail(
+            "integrand r^{n-1-mu} f(r) decays too slowly "
+            f"(r*integrand at 1e3: {g1:.3e}, at 1e4: {g2:.3e})")
 
     def g(r):
         return r ** (n - 1.0 - mu) * f_radial(r)
@@ -384,7 +383,7 @@ def riesz_radial(f_radial, rho, params):
     n, mu = params.n, params.mu
     rho = float(abs(rho))
     if rho == 0.0:
-        return riesz_at_center(f_radial, params, tail_decay_check=False)
+        return riesz_at_center(f_radial, params)
 
     if n == 1:
         def integrand(r):

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import constants, riesz
+from . import riesz
+from .bubbles import Bubble, BubbleFamily, eval_bubble, unit_w
 from .errors import (NoConvergence, OutOfRange, PositivityLost, ResonantEps,
                      ZeroField)
 from .grids import DomainSpec, GridField
@@ -24,11 +25,22 @@ from .riesz import RieszWeights
 from .spectral import EigenBasis, SpectralField, analysis, synthesis
 
 
+# negative excursions below -_POSITIVITY_TOL * sup trip the damping guard;
+# the sine synthesis of a positive boundary layer rings at the 1e-4 level,
+# so the guard watches for genuine sign flips, not truncation ripple
+_POSITIVITY_TOL = 2e-3
+
+
 @dataclass(frozen=True)
 class Seed:
     kind: str
     lam0: float = 1.0
     field: GridField | None = None
+
+    def __post_init__(self):
+        if not 0.0 < self.lam0 < math.inf:
+            raise OutOfRange(f"seed scale lam0 must be positive and finite, "
+                             f"got {self.lam0}")
 
     @staticmethod
     def first_eigenfunction():
@@ -49,14 +61,12 @@ class SolveOptions:
     max_iter: int = 2000
     residual_tol: float = 1e-8
     seed: Seed = field(default_factory=Seed.first_eigenfunction)
-    # negative excursions below -positivity_tol * sup trip the damping guard;
-    # the sine synthesis of a positive boundary layer rings at the 1e-4 level,
-    # so the guard watches for genuine sign flips, not truncation ripple
-    positivity_tol: float = 2e-3
 
     def __post_init__(self):
         if not 0.0 < self.theta <= 1.0:
             raise OutOfRange(f"damping theta must be in (0, 1], got {self.theta}")
+        if not self.max_iter >= 1:
+            raise OutOfRange(f"max_iter must be at least 1, got {self.max_iter}")
         if not self.residual_tol > 0.0:
             raise OutOfRange(f"residual_tol must be positive, got {self.residual_tol}")
 
@@ -144,12 +154,9 @@ def _seed_values(seed: Seed, params, domain, basis):
             raise OutOfRange("warm start requires a field on the solve grid")
         return seed.field.values.copy()
     if seed.kind == "bubble_cap":
-        alpha = constants.alpha_nmus(params.n, params.mu, params.s)
-        e = (params.n - 2.0 * params.s) / 2.0
-        lam = seed.lam0
-        r2 = sum((x - 0.5 * (lo + hi)) ** 2
-                 for (lo, hi), x in zip(domain.ranges(), domain.mesh()))
-        cap = alpha * (lam / (1.0 + lam * lam * r2)) ** e
+        centre = tuple(0.5 * (lo + hi) for lo, hi in domain.ranges())
+        cap = eval_bubble(Bubble(BubbleFamily.HARTREE_W, centre, seed.lam0, params),
+                          np.stack(domain.mesh(), axis=-1))
         # pin Dirichlet boundary values
         for axis in range(cap.ndim):
             np.moveaxis(cap, axis, 0)[[0, -1]] = 0.0
@@ -198,11 +205,11 @@ def _solve_fixed_point(params, domain, basis, weights, opts, p, denom):
             top = np.max(u_new)
             u_new /= top
             a_new = ((1.0 - theta) * a + theta * b / (denom * m)) / top
-        if _interior_min(u_new) < -opts.positivity_tol:
+        if _interior_min(u_new) < -_POSITIVITY_TOL:
             halvings += 1
             if halvings > 5:
                 raise PositivityLost(
-                    f"interior values fell below -{opts.positivity_tol} of the "
+                    f"interior values fell below -{_POSITIVITY_TOL} of the "
                     f"sup after {halvings} damping halvings")
             theta *= 0.5
             continue
@@ -232,14 +239,13 @@ def _finalize(params, domain, basis, weights, opts, vals, coeffs, res, it):
     u_grid = GridField(domain, vals)
     sup = u_grid.sup_norm()
     idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    alpha = constants.alpha_nmus(params.n, params.n - 2.0 * params.s, params.s)
     min_int = _interior_min(vals)
     rec = SolutionRecord(
         field=SpectralField(basis, coeffs),
         grid=u_grid,
         sup_norm=sup,
         argmax=u_grid.argmax_point(),
-        mu_eps=sup / alpha,
+        mu_eps=sup / unit_w(params).amplitude,
         residual=float(res),
         quotient=energy_quotient(u_grid, params, basis, weights),
         iterations=it + 1,

@@ -62,7 +62,7 @@ class EigenBasis:
         return self.modes.reshape(self.K, self.dim).T
 
     def _green_arrays(self, s):
-        """The mode arrays of the Green sums that depend only on (basis, s),
+        """The mode array of the Green sums that depends only on (basis, s),
         computed on first use and read-only: (k pi/L)^(-2s) on an interval;
         on a rectangle the (2, kx_max, ky_max) box of w/lambda^s at each mode
         (kx, ky) and 0 elsewhere, for the mollifier weights
@@ -79,7 +79,7 @@ class EigenBasis:
                 amp = np.zeros((2, kx.max(), ky.max()))
                 amp[:, kx - 1, ky - 1] = np.stack([w8, w8 * w8]) / lam ** s
             amp.flags.writeable = False
-            self._green_cache[key] = (amp,)
+            self._green_cache[key] = amp
         return self._green_cache[key]
 
     def _sampled_sines(self, cols):
@@ -333,7 +333,7 @@ def _green_interval(basis: EigenBasis, s, x, y):
     a, b = basis.domain.bounds
     length = b - a
     k = basis.modes.astype(float)
-    (amp,) = basis._green_arrays(s)
+    amp = basis._green_arrays(s)
     tm = math.pi * (x - y) / length
     tp = math.pi * ((x - a) + (y - a)) / length
     val = float(np.sum(amp * (np.cos(k * tm) - np.cos(k * tp)))) / length
@@ -353,7 +353,7 @@ def _green_from(basis: EigenBasis, s, p):
             _require_interior(basis.domain, q)
             return _green_interval(basis, s, p[0], q[0])
         return at
-    (coef,) = basis._green_arrays(s)
+    coef = basis._green_arrays(s)
     axes = list(zip(coef.shape[1:], basis.domain.ranges(), basis.domain.sides))
 
     def sines(point):

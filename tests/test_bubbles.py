@@ -7,7 +7,7 @@ from fhl import bubbles, constants
 from fhl.bubbles import Bubble, BubbleFamily
 from fhl.errors import (DegenerateScale, EmptyWindow, EvaluationAtOrigin,
                         OutOfRange)
-from fhl.grids import GridField, interval
+from fhl.grids import GridField, interval, rectangle
 from fhl.model import Regime, exponents, make_params
 
 TWO_PI = 2.0 * math.pi
@@ -161,21 +161,61 @@ def test_hls_quotient_requires_eps_zero():
         bubbles.hls_quotient(bub)
 
 
-def test_rescale_inverts_bubble_scaling():
-    p = make_params(1, 0.3, 0.4, 0.1, Regime.SUBCRITICAL_HARTREE)
-    alpha = constants.alpha_nmus(1, 0.4, 0.3)
+@pytest.mark.parametrize("dom, s, mu, eps", [
+    (interval(0.0, 1.0, 2049), 0.3, 0.4, 0.1),
+    (rectangle(0.0, 1.0, 0.0, 1.0, 257), 0.45, 1.1, 0.2),
+], ids=["interval", "rectangle"])
+def test_rescale_inverts_bubble_scaling(dom, s, mu, eps):
+    n = dom.dim
+    p = make_params(n, s, mu, eps, Regime.SUBCRITICAL_HARTREE)
+    alpha = constants.alpha_nmus(n, n - 2.0 * s, s)
     exp = exponents(p)
-    dom = interval(0.0, 1.0, 2049)
-    x = dom.axes()[0]
+    r2 = sum((x - 0.5) ** 2 for x in dom.mesh())
     mu_eps = 3.0
     lam = mu_eps ** ((exp.two_sharp - 2 - p.eps) / (2 * p.s))
-    u_vals = alpha * mu_eps * (1.0 / (1.0 + lam ** 2 * (x - 0.5) ** 2)) ** 0.2
+    u_vals = alpha * mu_eps * (1.0 / (1.0 + lam ** 2 * r2)) ** ((n - 2.0 * s) / 2.0)
     u = GridField(dom, u_vals)
-    v = bubbles.rescale(u, alpha * mu_eps, (0.5,), p, window=2.0, m_out=201)
+    v = bubbles.rescale(u, alpha * mu_eps, (0.5,) * n, p, window=2.0, m_out=201)
+    assert v.values.shape == (201,) * n
     d = bubbles.profile_distance(v, p, 2.0)
     # interpolation modulus of the coarse source grid
     assert d < 5e-4
-    assert abs(v.values[100] - alpha) < 1e-12  # v(0) = alpha by construction
+    assert abs(v.values[(100,) * n] - alpha) < 1e-12  # v(0) = alpha by construction
+
+
+def test_rescale_1d_matches_np_interp():
+    """The one interpolator reproduces the former 1-D np.interp path."""
+    p = make_params(1, 0.3, 0.4, 0.1, Regime.SUBCRITICAL_HARTREE)
+    dom = interval(-0.2, 1.3, 301)
+    x = dom.axes()[0]
+    u = GridField(dom, np.sin(3.0 * x) ** 2 + 0.1 + 0.01 * x)
+    alpha = constants.alpha_nmus(1, 0.4, 0.3)
+    mu_eps, argmax = 1.15, (0.9,)        # scale ~ 0.5: the window overhangs
+    v = bubbles.rescale(u, mu_eps * alpha, argmax, p, window=3.0, m_out=241)
+    scale = mu_eps ** (-(exponents(p).two_sharp - 2.0 - p.eps) / (2.0 * p.s))
+    xx = np.clip(scale * v.domain.axes()[0] + argmax[0], x[0], x[-1])
+    assert np.any(xx == x[0]) and np.any(xx == x[-1])   # both clips engage
+    ref = np.interp(xx, x, u.values) / mu_eps
+    assert np.max(np.abs(v.values - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n, s, mu", [
+    (1, 0.3, 0.4), (1, 0.45, 0.9), (2, 0.5, 1.0), (2, 0.2, 0.3),
+    (3, 0.5, 2.0), (3, 0.9, 1.0),
+])
+def test_hls_quotient_against_closed_form(n, s, mu):
+    """The radial quadrature of INT W^{2#} against Lieb's closed form
+    alpha^{2#} B_ns: the quotient is (beta~ alpha^{2#} B_ns)^{1 - 1/2*} at
+    every centre and scale."""
+    p = make_params(n, s, mu, 0.0, Regime.FREE_SPACE)
+    exp = exponents(p)
+    closed = (constants.beta_tilde_nmus(n, mu, s)
+              * constants.alpha_nmus(n, mu, s) ** exp.two_sharp
+              * constants.b_big_ns(n)) ** (1.0 - 1.0 / exp.two_star)
+    for lam in (0.5, 1.0, 5.0):
+        for xi in ((0.0,) * n, tuple(0.3 * (i + 1) for i in range(n))):
+            q = bubbles.hls_quotient(Bubble(BubbleFamily.HARTREE_W, xi, lam, p))
+            assert abs(q / closed - 1.0) < 1e-12
 
 
 def test_rescale_degenerate():

@@ -175,3 +175,25 @@ def test_solution_csv_matches_csv_writer(tmp_path, dom):
         for node, u in zip(itertools.product(*dom.axes()), vals.ravel()):
             writer.writerow(["%.12g" % c for c in (*node, u)])
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+
+
+@pytest.mark.parametrize("extra, argv_tail, key", [
+    ("seed=bubble_cap:abc\n", ["solve"], "'seed'"),
+    ("", ["continuation", "--eps", "0.4,x"], "--eps"),
+    ("eps_list=0.4,x\n", ["continuation"], "'eps_list'"),
+], ids=["seed", "eps-flag", "eps_list-key"])
+def test_malformed_number_is_typed_error(tmp_path, monkeypatch, capsys,
+                                         extra, argv_tail, key):
+    """A number that does not parse exits 1 with one JSON line naming the key."""
+    monkeypatch.setenv("FHL_CACHE_DIR", str(tmp_path / "cache"))
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(GOOD + extra)
+    argv = [argv_tail[0], "--config", str(cfg_path), *argv_tail[1:],
+            "--out", str(tmp_path / "out")]
+    assert run_command(argv) == 1
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "WrongType"
+    assert key in payload["message"]
+    assert not (tmp_path / "out").exists()

@@ -218,6 +218,25 @@ def test_green_limit_synthetic(interval_basis_20k):
     assert abs(median - 1.0) < 1e-3
 
 
+def test_green_limit_1d_matches_np_interp():
+    """The one interpolator reproduces the former 1-D np.interp path."""
+    from types import SimpleNamespace
+    dom = interval(0.0, 1.0, 97)
+    x = dom.axes()[0]
+    u = GridField(dom, np.sin(math.pi * x) * (1.0 + 0.3 * np.cos(7.0 * x)))
+    rec = SimpleNamespace(grid=u, sup_norm=2.5,
+                          params=make_params(1, 0.3, 0.4, 0.1,
+                                             Regime.SUBCRITICAL_HARTREE))
+    basis = spectral.build_basis(dom, 24)
+    samples = [(0.013,), (0.2,), (0.3125,), (0.77,), (0.9999,)]
+    rows, _ = diagnostics.green_limit_check(rec, basis, 0.3, (0.5,), samples)
+    # to 1e-14 of the sup: next to the zero end node, 0.9999 cancels
+    for (pt, lhs, _, _), (xs,) in zip(rows, samples):
+        ref = 2.5 * float(np.interp(xs, x, u.values))
+        assert pt == (xs,)
+        assert abs(lhs - ref) <= 1e-14 * 2.5 * np.max(u.values)
+
+
 def test_green_limit_too_close(interval_basis_20k):
     from types import SimpleNamespace
     dom = interval(0.0, 1.0, 64)

@@ -199,6 +199,14 @@ def test_riesz_at_center_divergent_tail():
         riesz.riesz_at_center(lambda r: (1.0 + r * r) ** -0.05, p)
 
 
+def test_riesz_radial_at_origin_checks_tail():
+    """rho = 0 goes through riesz_at_center with its decay guard."""
+    for n, mu in ((1, 0.4), (2, 1.0), (3, 2.0)):
+        p = make_params(n, 0.3, mu, 0.0, Regime.FREE_SPACE)
+        with pytest.raises(DivergentTail):
+            riesz.riesz_radial(lambda r: (1.0 + r) ** -(n - mu), 0.0, p)
+
+
 def _same_2d_weights(w1, w2):
     return (np.array_equal(w1.offsets, w2.offsets)
             and np.array_equal(w1.edge_x, w2.edge_x)

@@ -351,3 +351,15 @@ def test_positivity_guard_halves_then_raises(small_setup):
     opts = SolveOptions(theta=0.5, seed=seed)
     with pytest.raises(PositivityLost, match="after 6 damping halvings"):
         solver.solve_subcritical(params, dom, basis, weights, opts)
+
+
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_max_iter_below_one_rejected(max_iter):
+    with pytest.raises(OutOfRange, match="max_iter"):
+        SolveOptions(max_iter=max_iter)
+
+
+@pytest.mark.parametrize("lam0", [0.0, -2.0, math.nan, math.inf])
+def test_bubble_cap_scale_rejected(lam0):
+    with pytest.raises(OutOfRange, match="lam0"):
+        Seed.bubble_cap(lam0)

@@ -343,8 +343,7 @@ def test_green_cache_two_s_one_basis(dom, p, q):
     for s in (0.45, 0.2, 0.45):
         _assert_matches_fresh(basis, s, p, q, spectral.green_detail(basis, s, p, q))
     assert sorted(basis._green_cache) == [0.2, 0.45]
-    for a in basis._green_arrays(0.2):
-        assert not a.flags.writeable
+    assert not basis._green_arrays(0.2).flags.writeable
 
 
 @pytest.mark.parametrize("doms, ks, p, q", [
