@@ -63,12 +63,20 @@ def _strip_quantities(rec: SolutionRecord, margin):
     return strip_sup, interior_l1
 
 
-def _rate_lhs(params: Params, eps, sup):
+def _rate_exponent(params: Params):
+    """q of the rate law eps * sup^q -> const: the Brezis-Nirenberg
+    (2n - 8s)/(n - 2s), the subcritical 2."""
     n, s = params.n, params.s
     if params.regime is Regime.BREZIS_NIRENBERG:
-        return eps * sup ** ((2.0 * n - 8.0 * s) / (n - 2.0 * s))
-    return ((n - 2.0 * s) ** 2
-            / (2.0 * (n + 2.0 * s - eps * (n - 2.0 * s)))) * eps * sup ** 2
+        return (2.0 * n - 8.0 * s) / (n - 2.0 * s)
+    return 2.0
+
+
+def _rate_lhs(params: Params, eps, sup):
+    n, s = params.n, params.s
+    coeff = (1.0 if params.regime is Regime.BREZIS_NIRENBERG else
+             (n - 2.0 * s) ** 2 / (2.0 * (n + 2.0 * s - eps * (n - 2.0 * s))))
+    return coeff * eps * sup ** _rate_exponent(params)
 
 
 def continuation(params: Params, domain: DomainSpec, eps_list, opts=None,
@@ -278,8 +286,7 @@ def _moment_double_2d(f: GridField, mu):
         kx = np.where(r > 0, dx * r ** (-(mu + 2.0)), 0.0) * hx * hy
         ky = np.where(r > 0, dy * r ** (-(mu + 2.0)), 0.0) * hx * hy
     w = dom.node_weights()
-    xs, ys = dom.axes()
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    gx, gy = dom.mesh()
     cx = fftconvolve(f.values, kx, mode="same")
     cy = fftconvolve(f.values, ky, mode="same")
     return float(np.sum(w * f.values * (gx * cx + gy * cy)))
@@ -372,8 +379,8 @@ def boundary_bounds(report: ContinuationReport, r):
     The flag records the upper-bound content of the boundary theorems: both
     quantities stay within 2x of their values at the largest eps while the
     sup norm grows at least as fast as the rate law eps * sup^q -> const
-    (`_rate_lhs`) predicts, i.e. by (eps_first / eps_last)^(1/q) with q = 2
-    in the subcritical regime.  The bar is computed from eps_list alone,
+    (`_rate_lhs`) predicts, i.e. by (eps_first / eps_last)^(1/q) with q from
+    `_rate_exponent`.  The bar is computed from eps_list alone,
     never from the measured sup norms.
     """
     if r <= 0.0:
@@ -391,9 +398,7 @@ def boundary_bounds(report: ContinuationReport, r):
     s0 = rows[0][1] if rows[0][1] > 0 else 1e-300
     l0 = rows[0][2] if rows[0][2] > 0 else 1e-300
     within = all(v[1] <= 2.0 * s0 and v[2] <= 2.0 * l0 for v in rows)
-    n, s = report.params.n, report.params.s
-    q = ((2.0 * n - 8.0 * s) / (n - 2.0 * s)
-         if report.params.regime is Regime.BREZIS_NIRENBERG else 2.0)
+    q = _rate_exponent(report.params)
     growth_bar = (report.eps_list[0] / report.eps_list[-1]) ** (1.0 / q)
     sup_growth = report.records[-1].sup_norm / report.records[0].sup_norm
     return rows, bool(within and sup_growth >= growth_bar)

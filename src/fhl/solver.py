@@ -25,12 +25,6 @@ from .riesz import RieszWeights
 from .spectral import EigenBasis, SpectralField, analysis, synthesis
 
 
-# negative excursions below -_POSITIVITY_TOL * sup trip the damping guard;
-# the sine synthesis of a positive boundary layer rings at the 1e-4 level,
-# so the guard watches for genuine sign flips, not truncation ripple
-_POSITIVITY_TOL = 2e-3
-
-
 @dataclass(frozen=True)
 class Seed:
     kind: str
@@ -38,6 +32,11 @@ class Seed:
     field: GridField | None = None
 
     def __post_init__(self):
+        if self.kind not in ("first_eigenfunction", "bubble_cap", "warm_start"):
+            raise OutOfRange(f"unknown seed kind {self.kind!r}")
+        if (self.field is not None) != (self.kind == "warm_start"):
+            raise OutOfRange(f"seed kind {self.kind!r}: a field is required "
+                             f"for warm_start and only for it")
         if not 0.0 < self.lam0 < math.inf:
             raise OutOfRange(f"seed scale lam0 must be positive and finite, "
                              f"got {self.lam0}")
@@ -150,7 +149,7 @@ def _nonlinear_rhs(weights: RieszWeights, u_vals, p):
 
 def _seed_values(seed: Seed, params, domain, basis):
     if seed.kind == "warm_start":
-        if seed.field is None or seed.field.domain != domain:
+        if seed.field.domain != domain:
             raise OutOfRange("warm start requires a field on the solve grid")
         return seed.field.values.copy()
     if seed.kind == "bubble_cap":
@@ -177,13 +176,18 @@ def _solve_fixed_point(params, domain, basis, weights, opts, p, denom):
     linear and undoes synthesis for K <= N - 2 modes per axis (which
     build_basis enforces), so the update of u carries over to a exactly,
     also for seeds outside the mode span.
+
+    The sign is reported, not policed: the nonlinearity clamps u_+, and a
+    discrete fixed point may keep the truncated Green operator's ripple.
     """
     degree = 2.0 * p - 1.0
     u = _seed_values(opts.seed, params, domain, basis)
-    u = u / np.max(u)
+    top = float(np.max(u))
+    if not top > 0.0:
+        raise OutOfRange(f"{opts.seed.kind} seed has no positive value "
+                         f"(max {top:.3e})")
+    u = u / top
     a = analysis(basis, GridField(domain, u)).coeffs
-    theta = opts.theta
-    halvings = 0
     res = math.inf
     m = 1.0
     it = 0
@@ -198,22 +202,13 @@ def _solve_fixed_point(params, domain, basis, weights, opts, p, denom):
         if res < opts.residual_tol:
             break
         # renormalize to max 1 (x / x == 1 exactly); v / m already has it
-        if theta == 1.0:
-            u_new, a_new = v / m, b / (denom * m)
+        if opts.theta == 1.0:
+            u, a = v / m, b / (denom * m)
         else:
-            u_new = (1.0 - theta) * u + theta * v / m
-            top = np.max(u_new)
-            u_new /= top
-            a_new = ((1.0 - theta) * a + theta * b / (denom * m)) / top
-        if _interior_min(u_new) < -_POSITIVITY_TOL:
-            halvings += 1
-            if halvings > 5:
-                raise PositivityLost(
-                    f"interior values fell below -{_POSITIVITY_TOL} of the "
-                    f"sup after {halvings} damping halvings")
-            theta *= 0.5
-            continue
-        u, a = u_new, a_new
+            u = (1.0 - opts.theta) * u + opts.theta * v / m
+            top = np.max(u)
+            u /= top
+            a = ((1.0 - opts.theta) * a + opts.theta * b / (denom * m)) / top
     t = m ** (-1.0 / (degree - 1.0))
     return t * u, t * a, res, it
 
@@ -240,7 +235,7 @@ def _finalize(params, domain, basis, weights, opts, vals, coeffs, res, it):
     sup = u_grid.sup_norm()
     idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
     min_int = _interior_min(vals)
-    rec = SolutionRecord(
+    return SolutionRecord(
         field=SpectralField(basis, coeffs),
         grid=u_grid,
         sup_norm=sup,
@@ -256,7 +251,6 @@ def _finalize(params, domain, basis, weights, opts, vals, coeffs, res, it):
         positive=bool(min_int > 0.0),
         sup_norm_interp=float(_parabolic_peak(vals, idx)),
     )
-    return rec
 
 
 def _solve(params: Params, domain: DomainSpec, basis: EigenBasis,
@@ -320,36 +314,36 @@ def solve(params: Params, domain: DomainSpec, basis: EigenBasis,
     raise OutOfRange(f"no bounded-domain equation for regime {params.regime}")
 
 
-def residual(u, params: Params, basis: EigenBasis, weights: RieszWeights):
+def residual(u: GridField, params: Params, basis: EigenBasis,
+             weights: RieszWeights):
     """Relative grid-L2 defect of the governing (Galerkin) equation.
 
     Zero for exact discrete solutions; defined as 0.0 for the zero field.
     """
-    u_grid = u if isinstance(u, GridField) else synthesis(u)
-    if not np.any(u_grid.values):
+    if not np.any(u.values):
         return 0.0
     p, _, eps = _problem_terms(params)
-    a = analysis(basis, u_grid).coeffs
+    a = analysis(basis, u).coeffs
     denom = basis.lambdas ** params.s - eps
-    b = analysis(basis, GridField(u_grid.domain,
-                                  _nonlinear_rhs(weights, u_grid.values, p))).coeffs
+    b = analysis(basis, GridField(u.domain,
+                                  _nonlinear_rhs(weights, u.values, p))).coeffs
     return _relative_defect(a, denom, b)
 
 
-def energy_quotient(u, params: Params, basis: EigenBasis, weights: RieszWeights):
+def energy_quotient(u: GridField, params: Params, basis: EigenBasis,
+                    weights: RieszWeights):
     """Sum a_k^2 lambda_k^s over the p-th root of the double Riesz integral.
 
     p and the kernel follow the regime: the subcritical quotient uses
     p = 2# - 1 - eps with kernel exponent n - 2s, the Brezis-Nirenberg
     quotient uses p = 2* with the configured mu.
     """
-    u_grid = u if isinstance(u, GridField) else synthesis(u)
-    if not np.any(u_grid.values):
+    if not np.any(u.values):
         raise ZeroField("energy quotient of the zero field")
     p, mu, _ = _problem_terms(params)
-    a = analysis(basis, u_grid).coeffs
+    a = analysis(basis, u).coeffs
     num = float(np.sum(a ** 2 * basis.lambdas ** params.s))
-    up = np.maximum(u_grid.values, 0.0) ** p
+    up = np.maximum(u.values, 0.0) ** p
     conv = riesz.convolve(weights, GridField(weights.domain, up)).values
-    dbl = float(np.sum(u_grid.domain.node_weights() * up * conv))
+    dbl = float(np.sum(u.domain.node_weights() * up * conv))
     return num / dbl ** (1.0 / p)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from fhl import constants, riesz, solver, spectral
-from fhl.errors import (NoConvergence, OutOfRange, PositivityLost, ResonantEps,
-                        ZeroField)
+from fhl.errors import NoConvergence, OutOfRange, ResonantEps, ZeroField
 from fhl.grids import GridField, interval, rectangle
 from fhl.model import Regime, exponents, make_params
 from fhl.solver import Seed, SolveOptions
@@ -343,14 +342,58 @@ def test_nonlinear_rhs_one_power(dom, mu):
         assert np.all(fast[u <= 0.0] == 0.0)
 
 
-def test_positivity_guard_halves_then_raises(small_setup):
-    """A warm start with a full negative lobe trips the guard at every
-    damping: theta halves five times and the sixth trip raises."""
+def test_fixed_point_with_negative_ripple_converges():
+    """The truncated Green operator leaves a negative ripple on this coarse
+    fixed point; every damping reaches it, and the sign is only reported."""
+    params = make_params(1, 0.3, 0.4, 0.3, Regime.SUBCRITICAL_HARTREE)
+    dom = interval(0.0, 1.0, 64)
+    basis = spectral.build_basis(dom, 16)
+    weights = riesz.build_weights(dom, 0.4)
+    sups = []
+    for theta in (1.0, 0.5, 0.25):
+        rec = solver.solve_subcritical(params, dom, basis, weights,
+                                       SolveOptions(theta=theta))
+        assert rec.converged and rec.positive is False
+        assert -3.1e-3 <= rec.min_interior / rec.sup_norm <= -3.0e-3
+        sups.append(rec.sup_norm)
+    assert max(sups) / min(sups) - 1.0 < 1e-8
+    assert abs(sups[0] / 1.58185570 - 1.0) < 1e-8
+
+
+def test_sign_changing_start_ends_in_no_convergence(small_setup):
+    """A warm start with a full negative lobe is not rejected for its sign:
+    the damped iteration runs and stops at max_iter with a typed failure."""
     params, dom, basis, weights = small_setup
     seed = Seed.warm_start(GridField(dom, np.sin(2.0 * math.pi * dom.axes()[0])))
     opts = SolveOptions(theta=0.5, seed=seed)
-    with pytest.raises(PositivityLost, match="after 6 damping halvings"):
+    with pytest.raises(NoConvergence) as info:
         solver.solve_subcritical(params, dom, basis, weights, opts)
+    assert info.value.record is not None
+    assert info.value.record.iterations == opts.max_iter
+
+
+@pytest.mark.parametrize("shape", ["negative", "zero", "negative_shifted"])
+def test_seed_without_positive_max_rejected(small_setup, shape):
+    params, dom, basis, weights = small_setup
+    bump = np.sin(math.pi * dom.axes()[0])
+    values = {"negative": -bump, "zero": 0.0 * bump,
+              "negative_shifted": -bump - 0.1}[shape]
+    opts = SolveOptions(seed=Seed.warm_start(GridField(dom, values)))
+    with pytest.raises(OutOfRange, match="warm_start seed has no positive value"):
+        solver.solve_subcritical(params, dom, basis, weights, opts)
+
+
+@pytest.mark.parametrize("kind, with_field, match", [
+    ("bubblecap", False, "unknown seed kind 'bubblecap'"),
+    ("warm_start", False, "a field is required"),
+    ("bubble_cap", True, "a field is required"),
+    ("first_eigenfunction", True, "a field is required"),
+])
+def test_seed_kind_closed(kind, with_field, match):
+    dom = interval(0.0, 1.0, 16)
+    fld = GridField(dom, np.sin(math.pi * dom.axes()[0])) if with_field else None
+    with pytest.raises(OutOfRange, match=match):
+        Seed(kind=kind, lam0=4.0, field=fld)
 
 
 @pytest.mark.parametrize("max_iter", [0, -3])
