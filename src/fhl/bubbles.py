@@ -11,7 +11,6 @@ import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import RegularGridInterpolator
 
 from . import constants, riesz
@@ -58,28 +57,36 @@ def _as_points(x, n):
     return x
 
 
-def eval_bubble(bubble: Bubble, x):
-    """amplitude * (lambda/(1+lambda^2 |x-xi|^2))^{(n-2s)/2}; vectorized.
-
-    x is a point (length-n sequence) or an array whose last axis has length n.
-    """
-    p = bubble.params
-    x = _as_points(x, p.n)
-    xi = np.asarray(bubble.xi)
-    r2 = np.sum((x - xi) ** 2, axis=-1)
-    lam = bubble.lam
-    return bubble.amplitude * (lam / (1.0 + lam * lam * r2)) ** ((p.n - 2.0 * p.s) / 2.0)
-
-
-def radial_profile(bubble: Bubble):
-    """r -> bubble value at distance r from the center."""
+def _profile_r2(bubble: Bubble):
+    """r2 -> amplitude * (lambda/(1+lambda^2 r2))^{(n-2s)/2}, r2 = |x-xi|^2:
+    the one body of the bubble formula, amplitude and exponent bound once."""
     p = bubble.params
     amp = bubble.amplitude
     lam = bubble.lam
     ex = (p.n - 2.0 * p.s) / 2.0
 
+    def w(r2):
+        return amp * (lam / (1.0 + lam * lam * r2)) ** ex
+
+    return w
+
+
+def eval_bubble(bubble: Bubble, x):
+    """amplitude * (lambda/(1+lambda^2 |x-xi|^2))^{(n-2s)/2}; vectorized.
+
+    x is a point (length-n sequence) or an array whose last axis has length n.
+    """
+    x = _as_points(x, bubble.params.n)
+    r2 = np.sum((x - np.asarray(bubble.xi)) ** 2, axis=-1)
+    return _profile_r2(bubble)(r2)
+
+
+def radial_profile(bubble: Bubble):
+    """r -> bubble value at distance r from the center."""
+    w = _profile_r2(bubble)
+
     def f(r):
-        return amp * (lam / (1.0 + lam * lam * r * r)) ** ex
+        return w(r * r)
 
     return f
 
@@ -138,29 +145,10 @@ def hls_quotient(bubble: Bubble):
         raise OutOfRange("hls_quotient requires eps = 0")
     exp = exponents(p)
     prof = radial_profile(bubble)
-
-    def g(r):
-        return r ** (p.n - 1) * prof(r) ** exp.two_sharp
-
-    head, _ = quad(g, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=400)
-    tail, _ = quad(lambda t: g(t / (1.0 - t)) / (1.0 - t) ** 2, 0.5, 1.0,
-                   epsabs=1e-14, epsrel=1e-12, limit=400)
-    integral = constants.sigma_n(p.n) * (head + tail)
+    integral = constants.sigma_n(p.n) * riesz.half_line_integral(
+        lambda r: r ** (p.n - 1) * prof(r) ** exp.two_sharp, (0.0, 1.0))
     d_val = constants.beta_tilde_nmus(p.n, p.mu, p.s) * integral
     return d_val ** (1.0 - 1.0 / exp.two_star)
-
-
-def hls_tail_bound(bubble: Bubble):
-    """Crude bound on the truncated-tail mass of INT W^{2#} beyond R = 1e4.
-
-    W^{2#} ~ r^{-2n}, so the tail beyond R is below sigma_n amp^{2#}
-    lam^{-n} R^{-n} / n; reported by the CLI next to the quotient.
-    """
-    p = bubble.params
-    exp = exponents(p)
-    r = 1.0e4
-    return (constants.sigma_n(p.n) * bubble.amplitude ** exp.two_sharp
-            * bubble.lam ** (-p.n) * r ** (-p.n) / p.n)
 
 
 def _centered_domain(params: Params, window, m):

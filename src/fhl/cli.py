@@ -30,7 +30,6 @@ _FMT = "%.12g"
 
 _SCHEMA = {
     # key: (type, required, default)
-    "schema_version": (int, False, 1),
     "regime": (str, True, None),
     "n": (int, True, None),
     "s": (float, True, None),
@@ -226,10 +225,7 @@ def _cmd_bubble(args):
     bub = bubbles.Bubble(bubbles.BubbleFamily.HARTREE_W,
                          (0.0,) * params.n, 1.0, params)
     if args.action == "quotient":
-        q = bubbles.hls_quotient(bub)
-        tail = bubbles.hls_tail_bound(bub)
-        print(f"quotient {_FMT % q}")
-        print(f"tail_bound {_FMT % tail}")
+        print(f"quotient {_FMT % bubbles.hls_quotient(bub)}")
         return 0
     writer = csv.writer(sys.stdout)
     writer.writerow(["x", "lhs", "rhs", "residual"])
@@ -267,6 +263,8 @@ def _cmd_robin(args):
 def _cmd_solve(args):
     with open(args.config) as fh:
         cfg, warnings = parse_config(fh.read())
+    if cfg["eps"] is None:
+        raise MissingRequired("config key 'eps' is required by solve")
     t0 = time.time()
     record = solver.solve(*_solve_setup(cfg, cfg["eps"]))
     wall = time.time() - t0

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import RegularGridInterpolator
 
 from . import bubbles, constants, riesz, solver, spectral
@@ -357,17 +356,9 @@ def pohozaev_free_space_gap(params: Params):
     def f(rr):
         return prof(rr) ** p
 
-    def conv_at(rho):
-        return riesz.riesz_radial(f, rho, params)
-
-    big = 50.0
-    part1, _ = quad(lambda rho: constants.sigma_n(n) * rho ** (n - 1)
-                    * conv_at(rho) * f(rho), 0.0, big,
-                    epsabs=1e-11, epsrel=1e-9, limit=200)
-    part2, _ = quad(lambda t: constants.sigma_n(n) * (1.0 / t) ** (n - 1)
-                    * conv_at(1.0 / t) * f(1.0 / t) / t ** 2, 1e-9, 1.0 / big,
-                    epsabs=1e-11, epsrel=1e-9, limit=200)
-    d_quad = part1 + part2
+    d_quad = constants.sigma_n(n) * riesz.half_line_integral(
+        lambda rho: rho ** (n - 1) * riesz.riesz_radial(f, rho, params) * f(rho),
+        (0.0, 50.0))
     lhs = (n / p - (n - 2.0 * s) / 2.0) * d_chain
     rhs = (mu / (2.0 * p)) * d_quad
     return abs(lhs / rhs - 1.0)

@@ -112,9 +112,6 @@ class GridField:
             raise OutOfRange("field values must be finite")
         self.values = vals
 
-    def integral(self):
-        return float(np.sum(self.domain.node_weights() * self.values))
-
     def inner(self, other: "GridField"):
         if other.domain != self.domain:
             raise GridMismatch("fields live on different grids")

@@ -7,8 +7,8 @@ singular cell needs no regularization.  On a uniform grid the rows are
 Toeplitz except in the two end columns, whose nodes carry half hats, so
 the weights are stored as one closed-form generator of length 2N - 1 plus
 two end-column corrections and applied with a zero-padded real FFT in
-O(N log N).  The dense builders `_build_1d` and `moment_weights_1d` stay as
-test oracles.
+O(N log N).  The dense builder `moment_weights_1d` stays as the oracle of
+`moment_apply`.
 
 2-D weights are piecewise-constant product integration over node-centered
 cells clipped to the domain.  Uniform spacing makes every cell integral a
@@ -24,6 +24,9 @@ configurations need.
 
 The 2-D apply writes into work arrays kept for its last transform shape,
 so `convolve` on a 2-D grid is not reentrant across threads.
+
+Radial free-space integrals over [0, inf) all go through
+`half_line_integral`: one tail map, one decay guard and one error check.
 """
 
 from __future__ import annotations
@@ -33,14 +36,16 @@ import hashlib
 import math
 import os
 import tempfile
+import warnings
 import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import next_fast_len
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.signal import fftconvolve
 
+from .constants import sigma_n
 from .errors import (DivergentTail, GridMismatch, KernelNotIntegrable,
                      OutOfRange, QuadratureFailure)
 from .grids import DomainSpec, GridField
@@ -85,30 +90,6 @@ class RieszWeights:
 # --------------------------------------------------------------------------
 # 1-D hat-function product integration
 # --------------------------------------------------------------------------
-
-def _build_1d(x, mu):
-    """Dense rows of the 1-D weights; the oracle of the Toeplitz form."""
-    n = len(x)
-    h = x[1] - x[0]
-    a = np.zeros((n, n))
-    t_left = x[:-1]
-    t_right = x[1:]
-
-    def f0(u):
-        return np.sign(u) * np.abs(u) ** (1.0 - mu) / (1.0 - mu)
-
-    def f1(u):
-        return np.abs(u) ** (2.0 - mu) / (2.0 - mu)
-
-    for i in range(n):
-        u_l = t_left - x[i]
-        u_r = t_right - x[i]
-        m0 = f0(u_r) - f0(u_l)
-        m1 = (f1(u_r) - f1(u_l)) - u_l * m0
-        a[i, :-1] += m0 - m1 / h
-        a[i, 1:] += m1 / h
-    return a
-
 
 def _second_difference(k, p):
     """(k+1)^p - 2 k^p + (k-1)^p for integers k >= 1.
@@ -344,34 +325,48 @@ def convolve(weights: RieszWeights, f: GridField) -> GridField:
 # radial free-space quadrature
 # --------------------------------------------------------------------------
 
-def riesz_at_center(f_radial, params):
-    """sigma_n INT_0^inf r^{n-1-mu} f(r) dr with an algebraic tail map.
+def half_line_integral(g, breaks):
+    """INT_0^inf g(r) dr by QUADPACK's QAGS (what `quad` runs) on each
+    [b_i, b_{i+1}] of the increasing breaks, which start at 0, and on the
+    inverted tail INT_0^{1/b_last} g(1/t) / t^2 dt.
 
-    f_radial must decay fast enough for the tail to converge; a runtime
-    estimate of the decay exponent guards the precondition.
+    Raises DivergentTail when r |g(r)| has not fallen by 0.1% from
+    r = 1e3 b_last to 1e4 b_last: in the range of the tail map, and clear
+    of the breaks, where an integrand may be singular.  Raises
+    QuadratureFailure when the summed error estimate exceeds 1e-6 of the
+    value, or when QUADPACK flags a piece (its ier > 0): on a divergent
+    piece QAGS can return a small estimate with that flag.
     """
-    from .constants import sigma_n
-    n, mu = params.n, params.mu
-    r1, r2 = 1.0e3, 1.0e4
-    g1 = abs(f_radial(r1)) * r1 ** (n - mu)
-    g2 = abs(f_radial(r2)) * r2 ** (n - mu)
+    last = breaks[-1]
+    r1, r2 = 1.0e3 * last, 1.0e4 * last
+    g1, g2 = r1 * abs(g(r1)), r2 * abs(g(r2))
     if g1 > 0.0 and g2 >= 0.999 * g1:
         raise DivergentTail(
-            "integrand r^{n-1-mu} f(r) decays too slowly "
-            f"(r*integrand at 1e3: {g1:.3e}, at 1e4: {g2:.3e})")
-
-    def g(r):
-        return r ** (n - 1.0 - mu) * f_radial(r)
-
-    head, e1 = quad(g, 0.0, 1.0, epsabs=1e-13, epsrel=1e-11, limit=400)
-    tail, e2 = quad(lambda t: g(t / (1.0 - t)) / (1.0 - t) ** 2, 0.5, 1.0,
-                    epsabs=1e-13, epsrel=1e-11, limit=400)
-    val = sigma_n(n) * (head + tail)
-    err = sigma_n(n) * (e1 + e2)
-    if abs(val) > 0 and err > 1e-6 * abs(val):
+            "integrand decays too slowly "
+            f"(r*|integrand| at {r1:.3g}: {g1:.3e}, at {r2:.3g}: {g2:.3e})")
+    pieces = [(g, a, b, f"[{a:g}, {b:g}]") for a, b in zip(breaks[:-1], breaks[1:])]
+    pieces.append((lambda t: g(1.0 / t) / t ** 2, 0.0, 1.0 / last, f"[{last:g}, inf)"))
+    val = err = 0.0
+    flags = []
+    for fun, a, b, where in pieces:
+        v, e, _, *msg = quad(fun, a, b, epsabs=1e-12, epsrel=1e-10, limit=400,
+                             full_output=1)
+        val += v
+        err += e
+        flags += [f"; QUADPACK on {where}: {m}" for m in msg]
+    if flags or err > 1e-6 * abs(val):
         raise QuadratureFailure(
-            f"radial quadrature error estimate {err:.3e} for value {val:.6e}")
+            f"half-line quadrature error estimate {err:.3e} for value {val:.6e}"
+            + "".join(flags))
     return val
+
+
+def riesz_at_center(f_radial, params):
+    """sigma_n INT_0^inf r^{n-1-mu} f(r) dr; f_radial must decay fast
+    enough for the integral to converge, which `half_line_integral` guards."""
+    n, mu = params.n, params.mu
+    return sigma_n(n) * half_line_integral(
+        lambda r: r ** (n - 1.0 - mu) * f_radial(r), (0.0, 1.0))
 
 
 def riesz_radial(f_radial, rho, params):
@@ -388,6 +383,11 @@ def riesz_radial(f_radial, rho, params):
     if n == 1:
         def integrand(r):
             return f_radial(r) * (abs(rho - r) ** (-mu) + (rho + r) ** (-mu))
+    elif n == 3 and mu == 2.0:
+        def integrand(r):
+            # the limit of (a - b)/(2 - mu) below as mu -> 2
+            log_ratio = math.log((rho + r) / abs(rho - r))
+            return f_radial(r) * r * (2.0 * math.pi / rho) * log_ratio
     elif n == 3:
         def integrand(r):
             a = (rho + r) ** (2.0 - mu)
@@ -397,24 +397,16 @@ def riesz_radial(f_radial, rho, params):
         def integrand(r):
             c = rho * rho + r * r
             d = 2.0 * rho * r
-            v, _ = quad(lambda t: (c - d * math.cos(t)) ** (-mu / 2.0),
-                        0.0, math.pi, epsabs=1e-13, epsrel=1e-11, limit=400)
+            # near r = rho QUADPACK flags roundoff in this angular rule; the
+            # outer estimate, which half_line_integral checks, covers it
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IntegrationWarning)
+                v, _ = quad(lambda t: (c - d * math.cos(t)) ** (-mu / 2.0),
+                            0.0, math.pi, epsabs=1e-13, epsrel=1e-11, limit=400)
             return 2.0 * f_radial(r) * r * v
     else:
         raise OutOfRange(f"radial convolution supports n in (1,2,3), got {n}")
-
-    brk = sorted({0.0, rho, max(2.0 * rho, 1.0) + 1.0})
-    total = 0.0
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for a, b in zip(brk[:-1], brk[1:]):
-            v, _ = quad(integrand, a, b, epsabs=1e-12, epsrel=1e-10, limit=400)
-            total += v
-        big = brk[-1]
-        v, _ = quad(lambda t: integrand(1.0 / t) / t ** 2, 1e-12, 1.0 / big,
-                    epsabs=1e-12, epsrel=1e-10, limit=400)
-    return total + v
+    return half_line_integral(integrand, (0.0, rho, max(2.0 * rho, 1.0) + 1.0))
 
 
 # --------------------------------------------------------------------------

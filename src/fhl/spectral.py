@@ -46,7 +46,8 @@ class EigenBasis:
     K: int
     lambdas: np.ndarray               # sorted ascending
     modes: np.ndarray                 # (K,) k indices or (K,2) (kx,ky) pairs
-    _sine_tables: tuple | None = field(default=None, repr=False)
+    _sine_tables: tuple | None = field(default=None, init=False, repr=False,
+                                       compare=False)
     _folded: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
     # per-s mode arrays of the Green sums, filled by _green_arrays
@@ -134,15 +135,6 @@ class EigenBasis:
                    for k, (odd, _) in zip(self._axis_modes(), halves)]
             self._folded = halves + (pos[0] * (len(odd_y) + len(even_y)) + pos[1],)
         return self._folded
-
-    def phi_at(self, point):
-        """phi_k(point) for all K modes at one point: the per-mode oracle."""
-        vals = 1.0
-        for k, (lo, _), length, x in zip(self._axis_modes(), self.domain.ranges(),
-                                         self.domain.sides, point):
-            vals = vals * math.sqrt(2.0 / length) * np.sin(
-                k * math.pi * (x - lo) / length)
-        return vals
 
 
 @dataclass

@@ -133,6 +133,15 @@ def test_convolution_identity_center_n1():
     assert bubbles.convolution_identity_residual(bub, (0.0,)) < 1e-6
 
 
+def test_convolution_identity_n3_mu2():
+    """n = 3, mu = 2: the angular mean of the kernel is a logarithm, the
+    limit of the power form at mu = 2."""
+    p = make_params(3, 0.6, 2.0, 0.0, Regime.FREE_SPACE)
+    bub = Bubble(BubbleFamily.HARTREE_W, (0.0, 0.0, 0.0), 1.0, p)
+    for rho in (0.0, 0.5, 1.0, 3.0, 10.0):
+        assert bubbles.convolution_identity_residual(bub, (rho, 0.0, 0.0)) < 1e-12
+
+
 def test_hls_quotient_value(params_251):
     bub = Bubble(BubbleFamily.HARTREE_W, (0.0, 0.0), 1.0, params_251)
     q = bubbles.hls_quotient(bub)

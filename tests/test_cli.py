@@ -197,3 +197,25 @@ def test_malformed_number_is_typed_error(tmp_path, monkeypatch, capsys,
     assert payload["error"] == "WrongType"
     assert key in payload["message"]
     assert not (tmp_path / "out").exists()
+
+
+def test_solve_without_eps_is_typed_error(tmp_path, monkeypatch, capsys):
+    """solve needs eps; without it the command exits 1 with one JSON line
+    naming the key, as continuation does for its eps list."""
+    monkeypatch.setenv("FHL_CACHE_DIR", str(tmp_path / "cache"))
+    cfg_path = tmp_path / "no_eps.cfg"
+    cfg_path.write_text(GOOD.replace("eps=0.1\n", ""))
+    assert run_command(["solve", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "MissingRequired"
+    assert "'eps'" in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_schema_version_is_unknown_key():
+    with pytest.raises(UnknownKey, match="'schema_version'"):
+        parse_config(GOOD + "schema_version=7\n")
+

@@ -1,6 +1,6 @@
 """The O(N log N) operators against the dense builders they replaced.
 
-`riesz._build_1d`, `riesz.moment_weights_1d` and `EigenBasis.sine_tables`
+`oracles.riesz_rows_1d`, `riesz.moment_weights_1d` and `EigenBasis.sine_tables`
 (on an interval, the dense K x N mode matrix) stay as oracles: property
 tests over random N, mu and fields, plus one check at the sweep's grid,
 N = 4096, with the sweep's kernel exponent.  On a rectangle the sine
@@ -23,6 +23,7 @@ from scipy.signal import fftconvolve
 from fhl import riesz, spectral
 from fhl.grids import GridField, interval, rectangle
 from fhl.spectral import SpectralField
+from oracles import riesz_rows_1d
 
 SIZES = st.integers(16, 600)          # DomainSpec needs N >= 16
 MUS = st.floats(0.05, 0.95)
@@ -48,7 +49,7 @@ def test_riesz_apply_matches_dense(n, mu, length, seed):
     dom = interval(-0.5, length - 0.5, n)
     f = _field(seed, n)
     fast = riesz.convolve(riesz.build_weights(dom, mu), GridField(dom, f)).values
-    assert _defect(fast, riesz._build_1d(dom.axes()[0], mu), f) < 1e-10
+    assert _defect(fast, riesz_rows_1d(dom.axes()[0], mu), f) < 1e-10
 
 
 @PROPERTY
@@ -123,7 +124,7 @@ def grid_4096():
 def test_riesz_apply_at_4096(grid_4096):
     dom, f = grid_4096
     mu = 0.64
-    dense = riesz._build_1d(dom.axes()[0], mu) @ f
+    dense = riesz_rows_1d(dom.axes()[0], mu) @ f
     fast = riesz.convolve(riesz.build_weights(dom, mu), GridField(dom, f)).values
     assert np.max(np.abs(fast - dense)) / np.max(np.abs(dense)) <= 1e-10
 

@@ -5,7 +5,7 @@ import pytest
 
 from fhl import riesz
 from fhl.errors import (DivergentTail, GridMismatch, KernelNotIntegrable,
-                        OutOfRange)
+                        OutOfRange, QuadratureFailure)
 from fhl.grids import GridField, interval, rectangle
 from fhl.model import Regime, make_params
 from fhl.riesz import _singular_quadrant
@@ -199,12 +199,32 @@ def test_riesz_at_center_divergent_tail():
         riesz.riesz_at_center(lambda r: (1.0 + r * r) ** -0.05, p)
 
 
-def test_riesz_radial_at_origin_checks_tail():
-    """rho = 0 goes through riesz_at_center with its decay guard."""
+@pytest.mark.parametrize("rho", [0.0, 1.0])
+def test_riesz_radial_at_origin_checks_tail(rho):
+    """On and off the center, the decay guard of half_line_integral stops
+    the divergent (1 + r)^{-(n - mu)}."""
     for n, mu in ((1, 0.4), (2, 1.0), (3, 2.0)):
         p = make_params(n, 0.3, mu, 0.0, Regime.FREE_SPACE)
         with pytest.raises(DivergentTail):
-            riesz.riesz_radial(lambda r: (1.0 + r) ** -(n - mu), 0.0, p)
+            riesz.riesz_radial(lambda r: (1.0 + r) ** -(n - mu), rho, p)
+
+
+def test_riesz_radial_non_integrable_is_quadrature_failure():
+    """r^{-1.2} is not integrable at 0; QAGS flags it with a small error
+    estimate and a negative value, and the flag raises."""
+    p = make_params(1, 0.3, 0.4, 0.0, Regime.FREE_SPACE)
+    with pytest.raises(QuadratureFailure, match="divergent"):
+        riesz.riesz_radial(lambda r: r ** -1.2 * (1.0 + r * r) ** -2, 1.0, p)
+
+
+@pytest.mark.parametrize("breaks", [(0.0, 1.0), (0.0, 0.3, 2.0, 7.0)])
+def test_half_line_integral_closed_forms(breaks):
+    """INT_0^inf (1+r^2)^{-1} = pi/2 and INT_0^inf r^{-1/2} (1+r)^{-1} = pi,
+    the second with an endpoint singularity; any breaks give the value."""
+    assert abs(riesz.half_line_integral(lambda r: 1.0 / (1.0 + r * r), breaks)
+               / (0.5 * math.pi) - 1.0) < 1e-12
+    assert abs(riesz.half_line_integral(lambda r: r ** -0.5 / (1.0 + r), breaks)
+               / math.pi - 1.0) < 1e-10
 
 
 def _same_2d_weights(w1, w2):
