@@ -11,12 +11,11 @@ import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from . import constants, riesz
 from .errors import (DegenerateScale, EmptyWindow, EvaluationAtOrigin,
                      OutOfRange)
-from .grids import GridField, interval, rectangle
+from .grids import GridField, interpolate, interval, rectangle
 from .model import Params, exponents
 
 
@@ -177,7 +176,7 @@ def rescale(u: GridField, sup_norm, argmax, params: Params,
     coords = [np.clip(scale * xo + c, ax[0], ax[-1])
               for xo, c, ax in zip(out_dom.axes(), argmax, axes)]
     points = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)
-    vals = RegularGridInterpolator(axes, u.values)(points) / mu_eps
+    vals = interpolate(u, points) / mu_eps
     return GridField(out_dom, vals)
 
 

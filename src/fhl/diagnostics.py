@@ -13,12 +13,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from . import bubbles, constants, riesz, solver, spectral
 from .errors import (DegenerateStrip, EmptyInterior, MissingRobin, OutOfRange,
                      QuadratureFailure, SampleTooClose)
-from .grids import DomainSpec, GridField
+from .grids import DomainSpec, GridField, interpolate
 from .model import Params, Regime, exponents
 from .solver import SolutionRecord, SolveOptions, Seed
 
@@ -205,14 +204,13 @@ def green_limit_check(record: SolutionRecord, basis, s, x0, sample_points):
     h = max(dom.spacings())
     rows = []
     b = constants.small_b_ns(record.params.n, record.params.s)
-    itp = RegularGridInterpolator(dom.axes(), record.grid.values)
     for x in sample_points:
         pt = spectral._as_point(x, dom.dim)
         dist = math.sqrt(sum((a - b0) ** 2 for a, b0 in zip(pt, x0)))
         if dist < 4.0 * h:
             raise SampleTooClose(
                 f"sample {pt} is {dist:.4g} from x0; need >= 4 grid cells ({4*h:.4g})")
-        u_x = float(itp(np.array([pt]))[0])
+        u_x = float(interpolate(record.grid, pt))
         g = spectral.green(basis, s, pt, tuple(x0))
         lhs = record.sup_norm * u_x
         rhs = b * g
@@ -273,7 +271,6 @@ def _moment_double_2d(f: GridField, mu):
 
     The diagonal cell is dropped (PV symmetry); documented O(h) accuracy.
     """
-    from scipy.signal import fftconvolve
     dom = f.domain
     n = dom.n_grid
     hx, hy = dom.spacings()
@@ -286,8 +283,7 @@ def _moment_double_2d(f: GridField, mu):
         ky = np.where(r > 0, dy * r ** (-(mu + 2.0)), 0.0) * hx * hy
     w = dom.node_weights()
     gx, gy = dom.mesh()
-    cx = fftconvolve(f.values, kx, mode="same")
-    cy = fftconvolve(f.values, ky, mode="same")
+    cx, cy = riesz.fft_convolve(f.values, np.stack([kx, ky]), (-2, -1))
     return float(np.sum(w * f.values * (gx * cx + gy * cy)))
 
 

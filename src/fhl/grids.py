@@ -9,6 +9,7 @@ the spectral Gram matrix the identity to rounding.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from functools import reduce
 
@@ -127,6 +128,41 @@ class GridField:
         """Grid node where the field attains its maximum."""
         idx = np.unravel_index(int(np.argmax(self.values)), self.values.shape)
         return tuple(float(x[i]) for x, i in zip(self.domain.axes(), idx))
+
+
+def interpolate(field: GridField, points):
+    """Multilinear interpolation of field at points, whose last axis holds
+    one coordinate per grid axis; returns an array of shape points.shape[:-1].
+
+    Each point takes the cell [x_i, x_{i+1}] with x_i <= p < x_{i+1} (the
+    last cell on the upper bound) and the fraction t = (p - x_i)/(x_{i+1} -
+    x_i) per axis, and sums the 2^dim corner values times their products of
+    t and 1 - t.  Raises OutOfRange, naming the point, for a point outside
+    the domain or with a NaN coordinate.
+    """
+    dom = field.domain
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[-1:] != (dom.dim,):
+        raise OutOfRange(f"expected points with {dom.dim} coordinate(s), got {pts!r}")
+    outside = np.zeros(pts.shape[:-1], dtype=bool)
+    cells, fracs = [], []
+    for k, ax in enumerate(dom.axes()):
+        p = pts[..., k]
+        outside |= ~((p >= ax[0]) & (p <= ax[-1]))
+        i = np.minimum(np.searchsorted(ax, p, side="right") - 1, len(ax) - 2)
+        cells.append(i)
+        fracs.append((p - ax[i]) / (ax[i + 1] - ax[i]))
+    if np.any(outside):
+        pt = pts[np.unravel_index(np.argmax(outside), outside.shape)]
+        raise OutOfRange(f"point {tuple(float(c) for c in pt)} lies outside "
+                         f"the domain {dom.ranges()}")
+    out = 0.0
+    for corner in itertools.product((0, 1), repeat=dom.dim):
+        weight = 1.0
+        for c, t in zip(corner, fracs):
+            weight = weight * (t if c else 1.0 - t)
+        out = out + field.values[tuple(i + c for i, c in zip(cells, corner))] * weight
+    return out
 
 
 def interval(a, b, n_grid) -> DomainSpec:

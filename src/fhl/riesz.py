@@ -18,15 +18,22 @@ full-cell offset table, the per-edge strip tables and the per-corner fields
 by sums, flips and slices; its Gauss rule is graded by the distance from
 the quarter cell.  The offset table is applied as a discrete convolution
 through a zero-padded FFT pruned to the input and output rows; boundary-cell
-clipping is restored exactly through the strips and corners.  Documented
-accuracy is O(h) near the singularity, which is what the desk-scale solver
-configurations need.
+clipping is restored exactly through the strips and corners, whose linear
+convolutions along an edge go through `fft_convolve`, the one numpy
+real-FFT linear convolution (the 2-D moment diagnostic uses it too).
+Documented accuracy is O(h) near the singularity, which is what the
+desk-scale solver configurations need.
 
 The 2-D apply writes into work arrays kept for its last transform shape,
 so `convolve` on a 2-D grid is not reentrant across threads.
 
 Radial free-space integrals over [0, inf) all go through
 `half_line_integral`: one tail map, one decay guard and one error check.
+
+Only numpy and `scipy.fft` load with this module.  `scipy.integrate`,
+which `quad` needs, is imported inside the functions that call it (the
+singular quarter cell of a 2-D build and the radial quadratures), so a
+1-D solve never loads it.
 """
 
 from __future__ import annotations
@@ -42,8 +49,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import next_fast_len
-from scipy.integrate import IntegrationWarning, quad
-from scipy.signal import fftconvolve
 
 from .constants import sigma_n
 from .errors import (DivergentTail, GridMismatch, KernelNotIntegrable,
@@ -135,6 +140,22 @@ def _fft_len(n):
     return next_fast_len(2 * n - 1, real=True)
 
 
+def fft_convolve(values, kernel, axes):
+    """Entries N-1 .. 2N-2 along each of the axes of the linear convolution
+    of values (N entries on each) with kernel (2N - 1 on each): the
+    centered `mode="same"` window, by a real FFT of _fft_len(N) per axis,
+    which no wrapped-around product reaches.  The other axes broadcast.
+    """
+    n = values.shape[axes[0]]
+    sizes = [_fft_len(n)] * len(axes)
+    spec = np.fft.rfftn(values, sizes, axes) * np.fft.rfftn(kernel, sizes, axes)
+    out = np.fft.irfftn(spec, sizes, axes)
+    window = [slice(None)] * out.ndim
+    for ax in axes:
+        window[ax] = slice(n - 1, 2 * n - 1)
+    return out[tuple(window)]
+
+
 def _spectrum(offsets):
     """Spectrum of the operator whose entry (i, j) along each axis is
     offsets[j - i + N - 1], zero-padded to _fft_len(N) per axis.
@@ -195,6 +216,8 @@ def _fft_apply(spectrum, values):
 
 def _singular_quadrant(a, b, mu):
     """INT over [0,a]x[0,b] of |t|^{-mu} dt, exactly via polar splitting."""
+    from scipy.integrate import quad
+
     phi0 = math.atan2(b, a)
     i1, _ = quad(lambda t: (a / math.cos(t)) ** (2.0 - mu), 0.0, phi0,
                  epsabs=1e-14, epsrel=1e-12)
@@ -289,12 +312,6 @@ def build_weights(domain: DomainSpec, mu) -> RieszWeights:
                         edge_x=ex, edge_y=ey, corners=corners)
 
 
-def _strip(edge, table):
-    """A strip table convolved along its boundary with that edge's values."""
-    n = len(edge)
-    return fftconvolve(edge[:, None], table, mode="full", axes=0)[n - 1:2 * n - 1, :]
-
-
 def convolve(weights: RieszWeights, f: GridField) -> GridField:
     """Pointwise values of (|.|^{-mu} * f) over the domain; linear in f."""
     if f.domain != weights.domain:
@@ -311,10 +328,10 @@ def convolve(weights: RieszWeights, f: GridField) -> GridField:
     ends = ((0, slice(None)), (n - 1, slice(None, None, -1)))
     for j, order in ends:
         if np.any(vals[:, j]):
-            out -= _strip(vals[:, j], weights.edge_y)[:, order]
+            out -= fft_convolve(vals[:, j, None], weights.edge_y, (0,))[:, order]
     for i, order in ends:
         if np.any(vals[i, :]):
-            out -= _strip(vals[i, :], weights.edge_x).T[order, :]
+            out -= fft_convolve(vals[i, :, None], weights.edge_x, (0,)).T[order, :]
     for (i, j), fld in weights.corners.items():
         if vals[i, j] != 0.0:
             out += vals[i, j] * fld
@@ -337,6 +354,8 @@ def half_line_integral(g, breaks):
     value, or when QUADPACK flags a piece (its ier > 0): on a divergent
     piece QAGS can return a small estimate with that flag.
     """
+    from scipy.integrate import quad
+
     last = breaks[-1]
     r1, r2 = 1.0e3 * last, 1.0e4 * last
     g1, g2 = r1 * abs(g(r1)), r2 * abs(g(r2))
@@ -383,17 +402,24 @@ def riesz_radial(f_radial, rho, params):
     if n == 1:
         def integrand(r):
             return f_radial(r) * (abs(rho - r) ** (-mu) + (rho + r) ** (-mu))
-    elif n == 3 and mu == 2.0:
-        def integrand(r):
-            # the limit of (a - b)/(2 - mu) below as mu -> 2
-            log_ratio = math.log((rho + r) / abs(rho - r))
-            return f_radial(r) * r * (2.0 * math.pi / rho) * log_ratio
     elif n == 3:
+        q = 2.0 - mu
+
         def integrand(r):
-            a = (rho + r) ** (2.0 - mu)
-            b = abs(rho - r) ** (2.0 - mu)
-            return f_radial(r) * r * (2.0 * math.pi / ((2.0 - mu) * rho)) * (a - b)
+            d = abs(rho - r)
+            if d == 0.0:
+                # r = rho: (2 rho)^q / q, finite only for q > 0
+                kern = (2.0 * rho) ** q / q if q > 0.0 else math.inf
+            else:
+                # ((rho + r)^q - d^q) / q without subtracting two close
+                # powers, which cancel at small rho; log_ratio is its
+                # q -> 0 limit, log((rho + r) / d)
+                log_ratio = math.log1p(2.0 * min(rho, r) / d)
+                kern = d ** q * math.expm1(q * log_ratio) / q if q else log_ratio
+            return f_radial(r) * r * (2.0 * math.pi / rho) * kern
     elif n == 2:
+        from scipy.integrate import IntegrationWarning, quad
+
         def integrand(r):
             c = rho * rho + r * r
             d = 2.0 * rho * r

@@ -4,12 +4,15 @@
 cell from the kernel's moments against hat functions; `riesz.convolve`
 applies the same rows in Toeplitz form through an FFT.  `phi_at` evaluates
 every eigenfunction of a basis at one point, the per-mode form of the
-factored Green sums.
+factored Green sums.  `moment_double_2d_fftconvolve` is the 2-D moment
+double integral as it stood on `scipy.signal.fftconvolve`, the oracle of
+the `riesz.fft_convolve` form.
 """
 
 import math
 
 import numpy as np
+from scipy.signal import fftconvolve
 
 
 def riesz_rows_1d(x, mu):
@@ -44,3 +47,22 @@ def phi_at(basis, point):
         vals = vals * math.sqrt(2.0 / length) * np.sin(
             k * math.pi * (x - lo) / length)
     return vals
+
+
+def moment_double_2d_fftconvolve(f, mu):
+    """The former body of `diagnostics._moment_double_2d`."""
+    dom = f.domain
+    n = dom.n_grid
+    hx, hy = dom.spacings()
+    offs = np.arange(-(n - 1), n)
+    dx = offs[:, None] * hx
+    dy = offs[None, :] * hy
+    r = np.hypot(dx, dy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kx = np.where(r > 0, dx * r ** (-(mu + 2.0)), 0.0) * hx * hy
+        ky = np.where(r > 0, dy * r ** (-(mu + 2.0)), 0.0) * hx * hy
+    w = dom.node_weights()
+    gx, gy = dom.mesh()
+    cx = fftconvolve(f.values, kx, mode="same")
+    cy = fftconvolve(f.values, ky, mode="same")
+    return float(np.sum(w * f.values * (gx * cx + gy * cy)))

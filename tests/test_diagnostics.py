@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from fhl.errors import (DegenerateStrip, MissingRobin, OutOfRange,
                         SampleTooClose)
 from fhl.grids import GridField, interval, rectangle
 from fhl.model import Regime, make_params
+from oracles import moment_double_2d_fftconvolve
 
 
 def _synthetic_report(params, eps_mu_pairs):
@@ -175,6 +177,19 @@ def test_symmetrization_refinement_order():
     assert min(orders) >= 1.0
 
 
+@pytest.mark.parametrize("n, mu", [(24, 0.3), (41, 1.2), (64, 1.9)])
+def test_moment_double_2d_matches_fftconvolve(n, mu):
+    """The numpy real-FFT form against the former scipy.signal body, on a
+    non-square rectangle and a positive field that is nonzero on the edges."""
+    dom = rectangle(-0.3, 1.1, 0.2, 0.9, n)
+    x, y = dom.mesh()
+    rng = np.random.default_rng(n)
+    f = GridField(dom, np.exp(-4.0 * (x - 0.4) ** 2 - 9.0 * (y - 0.5) ** 2)
+                  + 0.2 * rng.random((n, n)))
+    ref = moment_double_2d_fftconvolve(f, mu)
+    assert abs(diagnostics._moment_double_2d(f, mu) / ref - 1.0) < 1e-12
+
+
 def test_symmetrization_rejects_negative():
     dom = interval(0.0, 1.0, 64)
     w = riesz.build_weights(dom, 0.4)
@@ -246,6 +261,22 @@ def test_green_limit_too_close(interval_basis_20k):
     with pytest.raises(SampleTooClose):
         diagnostics.green_limit_check(rec, interval_basis_20k, 0.3,
                                       (0.5,), [(0.5 + 1e-4,)])
+
+
+@pytest.mark.parametrize("dom, params, x0, sample", [
+    (interval(0.0, 1.0, 64), (1, 0.3, 0.4, 0.1, Regime.SUBCRITICAL_HARTREE),
+     (0.5,), (1.2,)),
+    (rectangle(0.0, 1.4, 0.0, 0.9, 32), (2, 0.45, 1.2, 0.1, Regime.BREZIS_NIRENBERG),
+     (0.7, 0.45), (2.0, 0.2)),
+], ids=["1d", "2d"])
+def test_green_limit_sample_outside_domain(dom, params, x0, sample):
+    """A sample off the grid is a typed error that names the point."""
+    from types import SimpleNamespace
+    rec = SimpleNamespace(grid=GridField(dom, np.ones(dom.shape)), sup_norm=1.0,
+                          params=make_params(*params))
+    basis = spectral.build_basis(dom, 8)
+    with pytest.raises(OutOfRange, match=re.escape(str(sample))):
+        diagnostics.green_limit_check(rec, basis, params[1], x0, [sample])
 
 
 @pytest.mark.parametrize("sample", [0.3, (0.3, 0.2, 0.1)])

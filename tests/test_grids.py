@@ -3,9 +3,10 @@ rectangle: the per-axis quantities every other module reads."""
 
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
-from fhl.errors import GridMismatch
-from fhl.grids import GridField, interval, rectangle
+from fhl.errors import GridMismatch, OutOfRange
+from fhl.grids import GridField, interpolate, interval, rectangle
 
 # node spacing 0.125 on [0.5, 2.5]; 0.1 x (1.2/28) on [-1, 1.8] x [0, 1.2]
 INTERVAL = interval(0.5, 2.5, 17)
@@ -85,3 +86,39 @@ def test_inner_across_grids_rejected():
     g = GridField(interval(0.5, 2.5, 18), np.ones(18))
     with pytest.raises(GridMismatch):
         f.inner(g)
+
+
+@pytest.mark.parametrize("dom", [INTERVAL, RECTANGLE], ids=["interval", "rectangle"])
+def test_interpolate_matches_regular_grid_interpolator(dom):
+    """The multilinear interpolator against scipy's RegularGridInterpolator
+    (the code it replaced) on random fields, at random points, at every
+    node, and on the edges and corners of the domain."""
+    rng = np.random.default_rng(7)
+    axes = dom.axes()
+    lo, hi = np.array(dom.ranges()).T
+    mesh = np.stack(dom.mesh(), axis=-1).reshape(-1, dom.dim)
+    edges = np.array([[ax[i] if k == j else rng.uniform(a, b)
+                       for k, (ax, a, b) in enumerate(zip(axes, lo, hi))]
+                      for j in range(dom.dim) for i in (0, -1) for _ in range(20)])
+    corners = np.stack(np.meshgrid(*[(a, b) for a, b in zip(lo, hi)],
+                                   indexing="ij"), axis=-1).reshape(-1, dom.dim)
+    points = np.concatenate([lo + (hi - lo) * rng.random((500, dom.dim)),
+                             mesh, edges, corners])
+    for _ in range(3):
+        values = rng.normal(size=dom.shape)
+        ref = RegularGridInterpolator(axes, values)(points)
+        got = interpolate(GridField(dom, values), points)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(values))
+
+
+@pytest.mark.parametrize("dom, bad", [
+    (INTERVAL, (2.6,)), (INTERVAL, (np.nan,)),
+    (RECTANGLE, (0.3, -0.01)), (RECTANGLE, (1.9, 0.5)),
+])
+def test_interpolate_outside_domain_names_point(dom, bad):
+    field = GridField(dom, np.ones(dom.shape))
+    points = np.array([[lo for lo, _ in dom.ranges()], bad])
+    with pytest.raises(OutOfRange, match="outside the domain") as info:
+        interpolate(field, points)
+    assert str(tuple(float(c) for c in bad)) in str(info.value)

@@ -217,6 +217,20 @@ def test_riesz_radial_non_integrable_is_quadrature_failure():
         riesz.riesz_radial(lambda r: r ** -1.2 * (1.0 + r * r) ** -2, 1.0, p)
 
 
+@pytest.mark.parametrize("rho", [1e-8, 1e-10, 1e-12])
+def test_riesz_radial_n3_small_rho_matches_center(rho):
+    """Off-centre n = 3 values tend to the centre value, which they miss by
+    O(rho^2): the kernel difference (rho + r)^q - |rho - r|^q is formed
+    without cancelling two close powers."""
+    p = make_params(3, 0.6, 1.8, 0.0, Regime.FREE_SPACE)
+
+    def f(r):
+        return (1.0 + r * r) ** -3
+
+    center = riesz.riesz_radial(f, 0.0, p)
+    assert abs(riesz.riesz_radial(f, rho, p) / center - 1.0) < 1e-9
+
+
 @pytest.mark.parametrize("breaks", [(0.0, 1.0), (0.0, 0.3, 2.0, 7.0)])
 def test_half_line_integral_closed_forms(breaks):
     """INT_0^inf (1+r^2)^{-1} = pi/2 and INT_0^inf r^{-1/2} (1+r)^{-1} = pi,
