@@ -30,10 +30,10 @@ so `convolve` on a 2-D grid is not reentrant across threads.
 Radial free-space integrals over [0, inf) all go through
 `half_line_integral`: one tail map, one decay guard and one error check.
 
-Only numpy and `scipy.fft` load with this module.  `scipy.integrate`,
-which `quad` needs, is imported inside the functions that call it (the
-singular quarter cell of a 2-D build and the radial quadratures), so a
-1-D solve never loads it.
+Only numpy loads with this module: FFT sizes are computed here, and the
+singular quarter cell of a 2-D build is a Gauss-Legendre sum.
+`scipy.integrate`, which `quad` needs, is imported inside the radial
+quadratures that call it, so no solve loads SciPy.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .constants import sigma_n
 from .errors import (DivergentTail, GridMismatch, KernelNotIntegrable,
@@ -65,6 +64,8 @@ _GAUSS_FAR = np.polynomial.legendre.leggauss(4)
 _GAUSS_GRADED = ((16.0, np.polynomial.legendre.leggauss(6)),
                  (4.0, np.polynomial.legendre.leggauss(12)))
 _GAUSS_NEAR = np.polynomial.legendre.leggauss(40)
+# the polar pieces of the singular quarter cell, per unit-length panel
+_GAUSS_POLAR = np.polynomial.legendre.leggauss(20)
 
 
 @dataclass
@@ -135,9 +136,22 @@ def _hat_weights(n, p, odd, scale):
     return scale * gen, left, right
 
 
+@functools.lru_cache(maxsize=64)
 def _fft_len(n):
-    # a circular product of this length holds the needed linear-product slots
-    return next_fast_len(2 * n - 1, real=True)
+    """The smallest 5-smooth length >= 2N - 1 (a fast real-FFT size, what
+    `scipy.fft.next_fast_len(2N - 1, real=True)` gives); a circular product
+    of this length holds the needed linear-product slots."""
+    target = 2 * n - 1
+    best = 1 << (target - 1).bit_length()
+    odd = 1   # 3^b 5^c
+    while odd < best:
+        p35 = odd
+        while p35 < best:
+            # the smallest power of two times p35 that reaches the target
+            best = min(best, p35 << (-(-target // p35) - 1).bit_length())
+            p35 *= 3
+        odd *= 5
+    return best
 
 
 def fft_convolve(values, kernel, axes):
@@ -215,15 +229,22 @@ def _fft_apply(spectrum, values):
 # --------------------------------------------------------------------------
 
 def _singular_quadrant(a, b, mu):
-    """INT over [0,a]x[0,b] of |t|^{-mu} dt, exactly via polar splitting."""
-    from scipy.integrate import quad
-
-    phi0 = math.atan2(b, a)
-    i1, _ = quad(lambda t: (a / math.cos(t)) ** (2.0 - mu), 0.0, phi0,
-                 epsabs=1e-14, epsrel=1e-12)
-    i2, _ = quad(lambda t: (b / math.sin(t)) ** (2.0 - mu), phi0, math.pi / 2.0,
-                 epsabs=1e-14, epsrel=1e-12)
-    return (i1 + i2) / (2.0 - mu)
+    """INT over [0,a]x[0,b] of |t|^{-mu} dt by polar splitting at the
+    diagonal.  With q = 2 - mu and u = tan of the angle from the nearer
+    axis, the piece against the side of length s is
+    s^q INT_0^X (1 + u^2)^{q/2 - 1} du / q with X = b/a or a/b; Gauss-
+    Legendre on unit-length panels is exact to rounding there, because the
+    integrand is analytic at distance >= 1 from every panel (u = +-i)."""
+    q = 2.0 - mu
+    nodes, weights = _GAUSS_POLAR
+    total = 0.0
+    for side, x in ((a, b / a), (b, a / b)):
+        edges = np.append(np.arange(0.0, x, 1.0), x)
+        lo, width = edges[:-1, None], np.diff(edges)[:, None]
+        u = lo + 0.5 * width * (nodes + 1.0)
+        total += side ** q * float(np.sum(0.5 * width * weights
+                                          * (1.0 + u * u) ** (0.5 * q - 1.0)))
+    return total / q
 
 
 def _gauss_quarter(k, l, hx, hy, mu, rule):
@@ -316,13 +337,18 @@ def convolve(weights: RieszWeights, f: GridField) -> GridField:
     """Pointwise values of (|.|^{-mu} * f) over the domain; linear in f."""
     if f.domain != weights.domain:
         raise GridMismatch("field grid does not match the weights' grid")
-    vals = f.values
+    return GridField(weights.domain, _convolve(weights, f.values))
+
+
+def _convolve(weights: RieszWeights, vals):
+    """The array-level body of `convolve` on values of the weights' grid,
+    which does not validate its input or its output."""
     out = _fft_apply(weights.spectrum, vals)
     if weights.domain.dim == 1:
         # the end columns carry half hats; a Dirichlet field has none
         if np.any(vals[..., [0, -1]]):
             out = out + vals[..., :1] * weights.edge_x + vals[..., -1:] * weights.edge_y
-        return GridField(weights.domain, out)
+        return out
     n = weights.domain.n_grid
     # subtract the overhang of boundary-node cells, restore corner pieces
     ends = ((0, slice(None)), (n - 1, slice(None, None, -1)))
@@ -335,7 +361,7 @@ def convolve(weights: RieszWeights, f: GridField) -> GridField:
     for (i, j), fld in weights.corners.items():
         if vals[i, j] != 0.0:
             out += vals[i, j] * fld
-    return GridField(weights.domain, out)
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from .errors import (NoConvergence, OutOfRange, PositivityLost, ResonantEps,
 from .grids import DomainSpec, GridField
 from .model import Params, Regime, exponents
 from .riesz import RieszWeights
-from .spectral import EigenBasis, SpectralField, analysis, synthesis
+from .spectral import (EigenBasis, SpectralField, _analyze, _synthesize,
+                       analysis, synthesis)
 
 
 @dataclass(frozen=True)
@@ -140,11 +141,11 @@ def _relative_defect(a, denom, b):
 
 def _nonlinear_rhs(weights: RieszWeights, u_vals, p):
     """(|x|^{-mu} * u^p) u^{p-1} on the grid, clamping negative ripple;
-    u^p is formed as u^{p-1} u, so each call takes one power."""
+    u^p is formed as u^{p-1} u, so each call takes one power.  Values in
+    and out are plain arrays, not validated."""
     pos = np.maximum(u_vals, 0.0)
     tail = pos ** (p - 1.0)
-    conv = riesz.convolve(weights, GridField(weights.domain, tail * pos)).values
-    return conv * tail
+    return riesz._convolve(weights, tail * pos) * tail
 
 
 def _seed_values(seed: Seed, params, domain, basis):
@@ -179,6 +180,10 @@ def _solve_fixed_point(params, domain, basis, weights, opts, p, denom):
 
     The sign is reported, not policed: the nonlinearity clamps u_+, and a
     discrete fixed point may keep the truncated Green operator's ripple.
+
+    The step works on plain arrays: a non-finite value anywhere reaches
+    every coefficient and so the scalars m and res, which are checked
+    instead of the fields.
     """
     degree = 2.0 * p - 1.0
     u = _seed_values(opts.seed, params, domain, basis)
@@ -192,13 +197,16 @@ def _solve_fixed_point(params, domain, basis, weights, opts, p, denom):
     m = 1.0
     it = 0
     for it in range(opts.max_iter):
-        rhs = _nonlinear_rhs(weights, u, p)
-        b = analysis(basis, GridField(domain, rhs)).coeffs
-        v = synthesis(SpectralField(basis, b / denom)).values
+        b = _analyze(basis, _nonlinear_rhs(weights, u, p))
+        v = _synthesize(basis, b / denom)
         m = float(np.max(v))
+        if not math.isfinite(m):
+            raise OutOfRange("field values must be finite")
         if not m > 0.0:
             raise PositivityLost("update lost positivity entirely")
         res = _relative_defect(a, denom, b / m)
+        if not math.isfinite(res):
+            raise OutOfRange("field values must be finite")
         if res < opts.residual_tol:
             break
         # renormalize to max 1 (x / x == 1 exactly); v / m already has it

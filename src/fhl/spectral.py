@@ -11,12 +11,14 @@ truncations, while the mollified sum is accurate down to offsets of a few
 multiples of the cutoff length 1/sqrt(lambda_K).  Its modes are products
 of per-axis sines, so it is a bilinear form in the points' sine vectors.
 
-Analysis and synthesis are a DST-I on an interval.  On a rectangle they
-are parity-folded products: the sampled modes are mirror-symmetric, so
-each axis takes two half-size products, one with the odd-k rows on mirror
-sums and one with the even-k rows on mirror differences.  Synthesis is
-exactly zero on all four edges.  The dense `sine_tables` products stay as
-the test oracle.
+Analysis and synthesis are a DST-I on an interval, computed from one numpy
+real FFT through the symmetric-extension view of the sine transforms
+(Martucci, IEEE Trans. Signal Process. 42 (1994)), so the module needs no
+SciPy.  On a rectangle they are parity-folded products: the sampled modes
+are mirror-symmetric, so each axis takes two half-size products, one with
+the odd-k rows on mirror sums and one with the even-k rows on mirror
+differences.  Synthesis is exactly zero on all four edges.  The dense
+`sine_tables` products stay as the test oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dst
 
 from . import constants
 from .errors import (DiagonalEvaluation, ExtrapolationDiverged,
@@ -190,9 +191,9 @@ def build_basis(domain: DomainSpec, K) -> EigenBasis:
 
 # On the endpoint-inclusive interval grid x_j = a + j h, j = 0 .. N-1, the
 # sampled modes sqrt(2/L) sin(k pi j / (N-1)) vanish at both ends, so both
-# transforms are a DST-I on the N - 2 interior nodes (scipy's unnormalized
-# DST-I sums 2 sin(.)); any K <= N - 2 leading modes are orthonormal under
-# the trapezoid product, hence analysis(synthesis(a)) = a.
+# transforms are a DST-I on the N - 2 interior nodes (`_dst1`); any
+# K <= N - 2 leading modes are orthonormal under the trapezoid product,
+# hence analysis(synthesis(a)) = a.
 
 # On a rectangle the grid is the same on both axes and the sampled modes
 # are mirror-symmetric, S[k, N-1-j] = (-1)^(k+1) S[k, j]: along each axis
@@ -238,42 +239,77 @@ def _unfold(plus, minus, axis):
     return out
 
 
+def _dst1(x, scale):
+    """scale * y with y_k = 2 sum_j x_j sin(pi (k+1)(j+1) / P), P = len(x) + 1:
+    the unnormalized DST-I, on numpy real FFTs of z = (0, x_0 .. x_{P-2}).
+
+    With k' = k + 1, an odd P splits the outputs by parity: k' = 2m reads
+    -2 Im rfft_P(z)_m, and k' = P - 2m reads -2 Im rfft_P(z')_m with
+    z'_j = (-1)^(j+1) z_j, since sin(pi (P - 2m) j / P) = (-1)^(j+1)
+    sin(2 pi m j / P); one rfft of the (2, P) stack gives both.  An even P
+    takes -Im of the rfft of the length-2P odd extension of z instead.
+    """
+    p = len(x) + 1
+    if p % 2 == 0:
+        ext = np.zeros(2 * p)
+        ext[1:p] = x
+        ext[p + 1:] = -x[::-1]
+        return -scale * np.fft.rfft(ext)[1:p].imag
+    z = np.zeros((2, p))
+    z[:, 1:] = x
+    z[1, 2::2] *= -1.0
+    spec = np.fft.rfft(z).imag
+    y = np.empty(p - 1)
+    np.multiply(spec[0, 1:], -2.0 * scale, out=y[1::2])
+    np.multiply(spec[1, :0:-1], -2.0 * scale, out=y[::2])
+    return y
+
+
 def _dst_scale(domain: DomainSpec):
     return math.sqrt(2.0 / domain.sides[0]) / 2.0
 
 
-def synthesis(f: SpectralField) -> GridField:
-    basis = f.basis
+def _synthesize(basis: EigenBasis, coeffs):
+    """Grid values of the mode coefficients; the array-level body of
+    `synthesis`, which does not validate its input or its output."""
     if basis.dim == 1:
         n = basis.domain.n_grid
         padded = np.zeros(n - 2)
-        padded[:basis.K] = f.coeffs
+        padded[:basis.K] = coeffs
         vals = np.zeros(n)   # exact zeros at the two Dirichlet nodes
-        vals[1:-1] = _dst_scale(basis.domain) * dst(padded, type=1)
-        return GridField(basis.domain, vals)
+        vals[1:-1] = _dst1(padded, _dst_scale(basis.domain))
+        return vals
     (odd_x, even_x), (odd_y, even_y), pos = basis._folded_tables()
     kx_odd, ky_odd = len(odd_x), len(odd_y)
     box = np.zeros((kx_odd + len(even_x), ky_odd + len(even_y)))
-    box.ravel()[pos] = f.coeffs
+    box.ravel()[pos] = coeffs
     rows = _unfold(box[:, :ky_odd] @ odd_y, box[:, ky_odd:] @ even_y, 1)
-    vals = _unfold(odd_x.T @ rows[:kx_odd], even_x.T @ rows[kx_odd:], 0)
-    return GridField(basis.domain, vals)
+    return _unfold(odd_x.T @ rows[:kx_odd], even_x.T @ rows[kx_odd:], 0)
+
+
+def _analyze(basis: EigenBasis, values):
+    """Mode coefficients of grid values on the basis grid; the array-level
+    body of `analysis`, which does not validate its input or its output."""
+    if basis.dim == 1:
+        h = basis.domain.spacings()[0]
+        return _dst1(values[1:-1], h * _dst_scale(basis.domain))[:basis.K]
+    (odd_x, even_x), (odd_y, even_y), pos = basis._folded_tables()
+    plus, minus = _fold(values, 0)
+    rows = np.concatenate([odd_x @ plus, even_x @ minus])
+    plus, minus = _fold(rows, 1)
+    box = np.concatenate([plus @ odd_y.T, minus @ even_y.T], axis=1)
+    hx, hy = basis.domain.spacings()
+    return box.ravel()[pos] * (hx * hy)
+
+
+def synthesis(f: SpectralField) -> GridField:
+    return GridField(f.basis.domain, _synthesize(f.basis, f.coeffs))
 
 
 def analysis(basis: EigenBasis, u: GridField) -> SpectralField:
     if u.domain != basis.domain:
         raise OutOfRange("field grid does not match the basis domain")
-    if basis.dim == 1:
-        h = basis.domain.spacings()[0]
-        coeffs = h * _dst_scale(basis.domain) * dst(u.values[1:-1], type=1)
-        return SpectralField(basis, coeffs[:basis.K])
-    (odd_x, even_x), (odd_y, even_y), pos = basis._folded_tables()
-    plus, minus = _fold(u.values, 0)
-    rows = np.concatenate([odd_x @ plus, even_x @ minus])
-    plus, minus = _fold(rows, 1)
-    box = np.concatenate([plus @ odd_y.T, minus @ even_y.T], axis=1)
-    hx, hy = basis.domain.spacings()
-    return SpectralField(basis, box.ravel()[pos] * (hx * hy))
+    return SpectralField(basis, _analyze(basis, u.values))
 
 
 def apply_As(f: SpectralField, s) -> SpectralField:

@@ -7,11 +7,18 @@ every eigenfunction of a basis at one point, the per-mode form of the
 factored Green sums.  `moment_double_2d_fftconvolve` is the 2-D moment
 double integral as it stood on `scipy.signal.fftconvolve`, the oracle of
 the `riesz.fft_convolve` form.
+
+The SciPy routines that the numpy solve path replaced stay here as its
+oracles: `scipy.fft.dst` for `spectral._dst1`, `scipy.fft.next_fast_len`
+for `riesz._fft_len`, and `singular_quadrant_quad`, the QUADPACK body of
+`riesz._singular_quadrant`.
 """
 
 import math
 
 import numpy as np
+from scipy.fft import dst, next_fast_len
+from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
 
@@ -66,3 +73,24 @@ def moment_double_2d_fftconvolve(f, mu):
     cx = fftconvolve(f.values, kx, mode="same")
     cy = fftconvolve(f.values, ky, mode="same")
     return float(np.sum(w * f.values * (gx * cx + gy * cy)))
+
+
+def dst1(x):
+    """scipy's unnormalized DST-I, the former body of the 1-D transforms."""
+    return dst(x, type=1)
+
+
+def fft_len(n):
+    """The former `riesz._fft_len`."""
+    return next_fast_len(2 * n - 1, real=True)
+
+
+def singular_quadrant_quad(a, b, mu):
+    """The former `riesz._singular_quadrant`: INT over [0,a]x[0,b] of
+    |t|^{-mu} dt by QUADPACK over the two polar pieces."""
+    phi0 = math.atan2(b, a)
+    i1, _ = quad(lambda t: (a / math.cos(t)) ** (2.0 - mu), 0.0, phi0,
+                 epsabs=1e-14, epsrel=1e-12)
+    i2, _ = quad(lambda t: (b / math.sin(t)) ** (2.0 - mu), phi0, math.pi / 2.0,
+                 epsabs=1e-14, epsrel=1e-12)
+    return (i1 + i2) / (2.0 - mu)

@@ -12,6 +12,11 @@ here, and its table term against `fftconvolve` on the stored table.  The
 graded far-field rule of the 2-D build is checked against the 12-point
 rule on every offset, and the 1-D applies against a copy of the
 `scipy.fft` apply they replaced, bit for bit.
+
+The numpy kernels that replaced SciPy routines are checked against them
+(`oracles.dst1`, `oracles.fft_len`, `oracles.singular_quadrant_quad`): the
+DST-I on both parities of P = len + 1, the FFT sizes, and the singular
+quarter cell over the kernel exponents and aspect ratios of 2-D builds.
 """
 
 import numpy as np
@@ -23,7 +28,7 @@ from scipy.signal import fftconvolve
 from fhl import riesz, spectral
 from fhl.grids import GridField, interval, rectangle
 from fhl.spectral import SpectralField
-from oracles import riesz_rows_1d
+from oracles import dst1, fft_len, riesz_rows_1d, singular_quadrant_quad
 
 SIZES = st.integers(16, 600)          # DomainSpec needs N >= 16
 MUS = st.floats(0.05, 0.95)
@@ -289,3 +294,42 @@ def test_graded_build_matches_12_point_rule(n, mu, ratio):
     pairs += [(w.corners[k], corners[k]) for k in corners]
     for fast, oracle in pairs:
         assert np.max(np.abs(fast - oracle) / oracle) < 1e-14
+
+
+# --------------------------------------------------------------------------
+# numpy kernels against the SciPy routines they replaced
+# --------------------------------------------------------------------------
+
+DST_LENGTHS = list(range(1, 71)) + [159, 160, 4094, 4095, 65534]
+
+
+@pytest.mark.parametrize("m", DST_LENGTHS)
+def test_dst1_matches_scipy(m):
+    """Odd P (even m) takes the two-half form, even P the odd extension."""
+    x = np.random.default_rng(m).normal(size=m)
+    oracle = dst1(x)
+    assert np.max(np.abs(spectral._dst1(x, 1.0) - oracle)) <= 1e-15 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("m", [2, 3, 64, 65, 4094, 4095])
+def test_dst1_mirror_symmetric_input_has_no_even_modes(m):
+    """For every even k' = k + 1 the sampled sine is odd about the middle
+    node, so on a mirror-symmetric x, x_j = x_{m-1-j}, those outputs
+    vanish but for rounding."""
+    r = np.random.default_rng(m).normal(size=m)
+    y = spectral._dst1(r + r[::-1], 1.0)
+    assert np.max(np.abs(y[1::2])) <= 1e-15 * np.max(np.abs(y))
+
+
+def test_fft_len_matches_next_fast_len():
+    assert [riesz._fft_len(n) for n in range(1, 20001)] == [
+        fft_len(n) for n in range(1, 20001)]
+
+
+@pytest.mark.parametrize("mu", np.linspace(0.05, 1.95, 20))
+def test_singular_quadrant_matches_quad(mu):
+    for ratio in 2.0 ** np.arange(-4.0, 4.5, 0.5):
+        a = 0.5 / 159
+        own = riesz._singular_quadrant(a, a * ratio, mu)
+        oracle = singular_quadrant_quad(a, a * ratio, mu)
+        assert abs(own / oracle - 1.0) < 1e-14

@@ -1,10 +1,10 @@
-"""The scipy subpackages a process loads, checked in a fresh interpreter:
-the test session itself has `scipy.integrate` loaded already, because the
+"""The SciPy modules a process loads, checked in a fresh interpreter: the
+test session itself has `scipy.integrate` loaded already, because the
 `filterwarnings` setting in pyproject.toml names its IntegrationWarning.
 
-`scipy.signal` and `scipy.interpolate` are never loaded by fhl, and
-`scipy.integrate` only by the first quadrature (a 2-D weight build or a
-radial free-space integral), so a 1-D continuation never loads it.
+No solve loads SciPy: the sine transforms, the FFT sizes and the singular
+quarter cell of a 2-D weight build are numpy.  `scipy.integrate` loads at
+the first radial free-space quadrature, which runs `quad`.
 """
 
 import json
@@ -15,11 +15,11 @@ import sys
 import fhl
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(fhl.__file__)))
-_UNUSED = ("scipy.signal", "scipy.interpolate", "scipy.integrate")
 
-_REPORT = f"""
+_REPORT = """
 import json, sys
-print(json.dumps([m for m in {_UNUSED!r} if m in sys.modules]))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
 """
 
 CONFIG = """regime=subcritical
@@ -31,6 +31,20 @@ grid=256
 modes=64
 theta=1.0
 max_iter=3000
+"""
+
+RECT_CONFIG = """regime=subcritical
+n=2
+s=0.45
+mu=1.1
+eps=0.2
+domain.kind=rectangle
+domain.bx=1.4
+domain.by=0.9
+grid=32
+modes=64
+theta=1.0
+max_iter=2000
 """
 
 
@@ -54,3 +68,22 @@ def test_1d_continuation_loads_no_unused_scipy(tmp_path):
             " '--eps', '0.5,0.4', '--out', 'run']) == 0\n")
     assert _loaded(code, tmp_path) == []
     assert (tmp_path / "run" / "report.json").exists()
+
+
+def test_2d_solve_loads_no_scipy(tmp_path):
+    """A rectangle solve builds and caches its 2-D weights."""
+    (tmp_path / "rect.cfg").write_text(RECT_CONFIG)
+    code = ("from fhl import cli\n"
+            "assert cli.run_command(['solve', '--config', 'rect.cfg',"
+            " '--out', 'run']) == 0\n")
+    assert _loaded(code, tmp_path) == []
+    assert (tmp_path / "run" / "solution.csv").exists()
+    assert os.listdir(tmp_path / "cache")
+
+
+def test_first_quadrature_loads_integrate(tmp_path):
+    code = ("from fhl import riesz\n"
+            "from fhl.model import Regime, make_params\n"
+            "p = make_params(2, 0.5, 1.0, 0.0, Regime.FREE_SPACE)\n"
+            "assert riesz.riesz_at_center(lambda r: (1.0 + r * r) ** -3, p) > 0\n")
+    assert "scipy.integrate" in _loaded(code, tmp_path)

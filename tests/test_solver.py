@@ -342,6 +342,34 @@ def test_nonlinear_rhs_one_power(dom, mu):
         assert np.all(fast[u <= 0.0] == 0.0)
 
 
+@pytest.mark.parametrize("case", ["interval", "rectangle"])
+def test_non_finite_iterate_raises_out_of_range(monkeypatch, case):
+    """The loop's fields are not validated one by one; a NaN that enters
+    the Riesz apply mid-solve still ends the solve with OutOfRange."""
+    if case == "interval":
+        params = make_params(1, 0.3, 0.4, 0.3, Regime.SUBCRITICAL_HARTREE)
+        dom, K = interval(0.0, 1.0, 256), 64
+    else:
+        params = make_params(2, 0.45, 1.1, 0.2, Regime.SUBCRITICAL_HARTREE)
+        dom, K = rectangle(0.0, 1.4, 0.0, 0.9, 32), 64
+    basis = spectral.build_basis(dom, K)
+    weights = riesz.build_weights(dom, solver.kernel_exponent(params))
+    calls = []
+    clean = riesz._convolve
+
+    def poisoned(w, vals):
+        out = clean(w, vals)
+        calls.append(None)
+        if len(calls) == 3:
+            out[(len(out) // 3,) * out.ndim] = math.nan
+        return out
+
+    monkeypatch.setattr(riesz, "_convolve", poisoned)
+    with pytest.raises(OutOfRange, match="field values must be finite"):
+        solver.solve(params, dom, basis, weights, SolveOptions(theta=1.0))
+    assert len(calls) == 3
+
+
 def test_fixed_point_with_negative_ripple_converges():
     """The truncated Green operator leaves a negative ripple on this coarse
     fixed point; every damping reaches it, and the sign is only reported."""
