@@ -20,7 +20,10 @@ the quarter cell.  The offset table is applied as a discrete convolution
 through a zero-padded FFT pruned to the input and output rows; boundary-cell
 clipping is restored exactly through the strips and corners, whose linear
 convolutions along an edge go through `fft_convolve`, the one numpy
-real-FFT linear convolution (the 2-D moment diagnostic uses it too).
+real-FFT linear convolution (the 2-D moment diagnostic uses it too).  A
+field on an even grid that equals its flips exactly, with no tolerance,
+takes a half-size symmetric convolution instead (`_even_apply`), whose
+output is exactly even; every other field takes the full apply.
 Documented accuracy is O(h) near the singularity, which is what the
 desk-scale solver configurations need.
 
@@ -92,6 +95,12 @@ class RieszWeights:
     def __post_init__(self):
         self.spectrum = _spectrum(self.offsets)
 
+    @functools.cached_property
+    def even_spectrum(self):
+        """The window spectrum of `_even_apply`, from offsets at the first
+        exactly even field (2-D, even N)."""
+        return _even_spectrum(self.offsets)
+
 
 # --------------------------------------------------------------------------
 # 1-D hat-function product integration
@@ -136,12 +145,16 @@ def _hat_weights(n, p, odd, scale):
     return scale * gen, left, right
 
 
-@functools.lru_cache(maxsize=64)
 def _fft_len(n):
     """The smallest 5-smooth length >= 2N - 1 (a fast real-FFT size, what
     `scipy.fft.next_fast_len(2N - 1, real=True)` gives); a circular product
     of this length holds the needed linear-product slots."""
-    target = 2 * n - 1
+    return _smooth_len(2 * n - 1)
+
+
+@functools.lru_cache(maxsize=64)
+def _smooth_len(target):
+    """The smallest 5-smooth length >= target."""
     best = 1 << (target - 1).bit_length()
     odd = 1   # 3^b 5^c
     while odd < best:
@@ -190,38 +203,84 @@ def _spectrum(offsets):
     return np.fft.rfft2(wrapped).real.copy()
 
 
+def _even_spectrum(offsets):
+    """Complex spectrum of the 2-D table at the offsets -(M-1) .. N-1 per
+    axis (M = N/2, N even), wrapped about index 0 of the periodic L x L
+    grid, L >= 3M - 1 5-smooth: no wrapped-around product reaches the
+    outputs 0 .. N-1 of an M x M input."""
+    m = (offsets.shape[0] + 1) // 4
+    pad = _smooth_len(3 * m - 1) - (3 * m - 1)
+    window = np.pad(offsets[m:, m:], ((0, pad), (0, pad)))
+    return np.fft.rfft2(np.roll(window, (1 - m, 1 - m), (0, 1)))
+
+
 @functools.lru_cache(maxsize=1)
 def _work(spec_shape, real_shape):
-    """Work arrays of the 2-D `_fft_apply`, reused while the transform shape
+    """Work arrays of the 2-D transforms, reused while the transform shape
     stays the same: fresh FFT temporaries of this size come back from the
     allocator as new pages on every call.  Only the last shape is kept, so
     what stays resident is one apply's temporaries."""
     return np.zeros(spec_shape, dtype=complex), np.empty(real_shape)
 
 
-def _fft_apply(spectrum, values):
-    """The operator of `_spectrum` applied over the last spectrum.ndim axes
-    of values, so a stack of fields goes in one call; returns a fresh array.
+def _fft_product(spectrum, values, n_out):
+    """Rows 0 .. n_out - 1 of the periodic 2-D product of spectrum (of an
+    L x L grid) with values zero-padded to L x L, over the last two axes;
+    a view of the work arrays, valid until the next 2-D transform.
 
-    The 2-D transform is pruned: the real FFT along the last axis runs over
-    the N input rows only (the padding rows are zeroed), the FFT along the
-    other axis, the product and its inverse run in place in the work
-    arrays, and the inverse real FFT runs over the N output rows only.
+    The transform is pruned: the real FFT along the last axis runs over the
+    input rows only (the padding rows are zeroed), the FFT along the other
+    axis, the product and its inverse run in place in the work arrays, and
+    the inverse real FFT runs over the n_out output rows only.
     """
-    n = values.shape[-1]
-    size = _fft_len(n)
-    if spectrum.ndim == 1:
-        out = np.fft.irfft(np.fft.rfft(values, size) * spectrum, size)
-        return out[..., n - 1:2 * n - 1]
-    spec, real = _work(values.shape[:-2] + spectrum.shape, values.shape[:-1] + (size,))
-    rows = spec[..., :n, :]
-    np.fft.rfft(values, size, out=rows)
+    n, size = values.shape[-2], spectrum.shape[0]
+    spec, real = _work(values.shape[:-2] + spectrum.shape,
+                       values.shape[:-2] + (n_out, size))
+    np.fft.rfft(values, size, out=spec[..., :n, :])
     spec[..., n:, :] = 0.0
     np.fft.fft(spec, axis=-2, out=spec)
     spec *= spectrum
     np.fft.ifft(spec, axis=-2, out=spec)
-    np.fft.irfft(rows, size, out=real)
-    return real[..., :n].copy()
+    np.fft.irfft(spec[..., :n_out, :], size, out=real)
+    return real
+
+
+def _fft_apply(spectrum, values):
+    """The operator of `_spectrum` applied over the last spectrum.ndim axes
+    of values, so a stack of fields goes in one call; returns a fresh array.
+    """
+    n = values.shape[-1]
+    if spectrum.ndim == 1:
+        size = _fft_len(n)
+        out = np.fft.irfft(np.fft.rfft(values, size) * spectrum, size)
+        return out[..., n - 1:2 * n - 1]
+    return _fft_product(spectrum, values, n)[..., :n].copy()
+
+
+def _even_apply(even_spectrum, values):
+    """`_fft_apply` of the 2-D table on one N x N field even in both axes
+    (N even), from its M x M quarter (M = N/2).  Along each axis the output
+    at i is c[i] + c[N-1-i], c[i] = sum_{k<M} T(i-k) f[k] (i < N) the
+    linear convolution of the quarter with the `_even_spectrum` window;
+    the folded quarter is flipped into all four, so the output is even."""
+    n = values.shape[-1]
+    m = n // 2
+    c = _fft_product(even_spectrum, values[:m, :m], n)[:, :n]
+    half = c[:m] + c[n - 1:m - 1:-1]
+    out = np.empty((n, n))
+    np.add(half[:, :m], half[:, n - 1:m - 1:-1], out=out[:m, :m])
+    out[:m, m:] = out[:m, m - 1::-1]
+    out[m:] = out[m - 1::-1]
+    return out
+
+
+def _table_apply(weights: RieszWeights, vals):
+    """The offset-table term of `_convolve`: `_even_apply` on one 2-D field
+    of an even grid that equals its flips exactly, else `_fft_apply`."""
+    if (weights.domain.dim == 2 and weights.domain.n_grid % 2 == 0 and vals.ndim == 2
+            and np.array_equal(vals, vals[::-1]) and np.array_equal(vals, vals[:, ::-1])):
+        return _even_apply(weights.even_spectrum, vals)
+    return _fft_apply(weights.spectrum, vals)
 
 
 # --------------------------------------------------------------------------
@@ -343,7 +402,7 @@ def convolve(weights: RieszWeights, f: GridField) -> GridField:
 def _convolve(weights: RieszWeights, vals):
     """The array-level body of `convolve` on values of the weights' grid,
     which does not validate its input or its output."""
-    out = _fft_apply(weights.spectrum, vals)
+    out = _table_apply(weights, vals)
     if weights.domain.dim == 1:
         # the end columns carry half hats; a Dirichlet field has none
         if np.any(vals[..., [0, -1]]):
@@ -424,6 +483,7 @@ def riesz_radial(f_radial, rho, params):
     rho = float(abs(rho))
     if rho == 0.0:
         return riesz_at_center(f_radial, params)
+    inner = ()   # breaks between rho and the outer break
 
     if n == 1:
         def integrand(r):
@@ -443,6 +503,9 @@ def riesz_radial(f_radial, rho, params):
                 log_ratio = math.log1p(2.0 * min(rho, r) / d)
                 kern = d ** q * math.expm1(q * log_ratio) / q if q else log_ratio
             return f_radial(r) * r * (2.0 * math.pi / rho) * kern
+        # decade breaks rho 10^k < 1: one QAGS piece over many decades
+        # misses the log-singular mu = 2 kernel with a passing estimate
+        inner = tuple(rho * 10.0 ** k for k in range(1, math.ceil(-math.log10(rho))))
     elif n == 2:
         from scipy.integrate import IntegrationWarning, quad
 
@@ -458,7 +521,7 @@ def riesz_radial(f_radial, rho, params):
             return 2.0 * f_radial(r) * r * v
     else:
         raise OutOfRange(f"radial convolution supports n in (1,2,3), got {n}")
-    return half_line_integral(integrand, (0.0, rho, max(2.0 * rho, 1.0) + 1.0))
+    return half_line_integral(integrand, (0.0, rho, *inner, max(2.0 * rho, 1.0) + 1.0))
 
 
 # --------------------------------------------------------------------------

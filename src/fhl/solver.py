@@ -89,6 +89,9 @@ class SolutionRecord:
     # node sup is authoritative; the parabolic fit through the argmax node
     # and its neighbors is recorded alongside for the rate diagnostics
     sup_norm_interp: float = 0.0
+    # per axis max|u - R u| / sup, R the axis reflection: a branch that is
+    # not even about the centre is reported, not raised
+    mirror_defect: tuple = ()
 
     def to_dict(self):
         return {
@@ -103,6 +106,7 @@ class SolutionRecord:
             "converged": self.converged,
             "min_interior": self.min_interior,
             "positive": self.positive,
+            "mirror_defect": list(self.mirror_defect),
             "n": self.params.n,
             "s": self.params.s,
             "mu": self.params.mu,
@@ -258,6 +262,8 @@ def _finalize(params, domain, basis, weights, opts, vals, coeffs, res, it):
         min_interior=min_int,
         positive=bool(min_int > 0.0),
         sup_norm_interp=float(_parabolic_peak(vals, idx)),
+        mirror_defect=tuple(float(np.max(np.abs(vals - np.flip(vals, axis)))) / sup
+                            for axis in range(vals.ndim)),
     )
 
 

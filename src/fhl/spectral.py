@@ -17,8 +17,10 @@ real FFT through the symmetric-extension view of the sine transforms
 SciPy.  On a rectangle they are parity-folded products: the sampled modes
 are mirror-symmetric, so each axis takes two half-size products, one with
 the odd-k rows on mirror sums and one with the even-k rows on mirror
-differences.  Synthesis is exactly zero on all four edges.  The dense
-`sine_tables` products stay as the test oracle.
+differences.  Synthesis is exactly zero on all four edges.  A block whose
+folded input is exactly zero is skipped, so an exactly even field has
+exactly zero even-k coefficients and odd-k coefficients synthesize an
+exactly even field.  The dense `sine_tables` products stay as the oracle.
 """
 
 from __future__ import annotations
@@ -239,6 +241,15 @@ def _unfold(plus, minus, axis):
     return out
 
 
+def _product(a, b):
+    """a @ b, or its exact zeros without the product when a or b is all
+    zero: an exactly even field folds to zero mirror differences, and its
+    even-k coefficients are zero."""
+    if np.any(a) and np.any(b):
+        return a @ b
+    return np.zeros((a.shape[0], b.shape[1]))
+
+
 def _dst1(x, scale):
     """scale * y with y_k = 2 sum_j x_j sin(pi (k+1)(j+1) / P), P = len(x) + 1:
     the unnormalized DST-I, on numpy real FFTs of z = (0, x_0 .. x_{P-2}).
@@ -283,8 +294,8 @@ def _synthesize(basis: EigenBasis, coeffs):
     kx_odd, ky_odd = len(odd_x), len(odd_y)
     box = np.zeros((kx_odd + len(even_x), ky_odd + len(even_y)))
     box.ravel()[pos] = coeffs
-    rows = _unfold(box[:, :ky_odd] @ odd_y, box[:, ky_odd:] @ even_y, 1)
-    return _unfold(odd_x.T @ rows[:kx_odd], even_x.T @ rows[kx_odd:], 0)
+    rows = _unfold(box[:, :ky_odd] @ odd_y, _product(box[:, ky_odd:], even_y), 1)
+    return _unfold(odd_x.T @ rows[:kx_odd], _product(even_x.T, rows[kx_odd:]), 0)
 
 
 def _analyze(basis: EigenBasis, values):
@@ -295,9 +306,9 @@ def _analyze(basis: EigenBasis, values):
         return _dst1(values[1:-1], h * _dst_scale(basis.domain))[:basis.K]
     (odd_x, even_x), (odd_y, even_y), pos = basis._folded_tables()
     plus, minus = _fold(values, 0)
-    rows = np.concatenate([odd_x @ plus, even_x @ minus])
+    rows = np.concatenate([odd_x @ plus, _product(even_x, minus)])
     plus, minus = _fold(rows, 1)
-    box = np.concatenate([plus @ odd_y.T, minus @ even_y.T], axis=1)
+    box = np.concatenate([plus @ odd_y.T, _product(minus, even_y.T)], axis=1)
     hx, hy = basis.domain.spacings()
     return box.ravel()[pos] * (hx * hy)
 

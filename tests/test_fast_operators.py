@@ -9,6 +9,9 @@ odd grids.
 
 The 2-D apply is checked against a dense quarter-cell quadrature built
 here, and its table term against `fftconvolve` on the stored table.  The
+quarter apply of exactly even fields is checked against the full
+`_fft_apply`, which stays its oracle, and every field that is not exactly
+even, or not a single field on an even grid, must take the full path.  The
 graded far-field rule of the 2-D build is checked against the 12-point
 rule on every offset, and the 1-D applies against a copy of the
 `scipy.fft` apply they replaced, bit for bit.
@@ -215,6 +218,77 @@ def test_riesz_table_term_matches_fftconvolve(n, mu, ratio, seed):
     scale = max(np.max(fftconvolve(np.abs(g), w.offsets, mode="same")) for g in f)
     # a stack of fields applies field by field
     assert np.max(np.abs(riesz._fft_apply(w.spectrum, f) - oracle)) < 1e-13 * scale
+
+
+def _mirrored(quarter):
+    """The exactly even 2M x 2M field whose M x M quarter is given."""
+    m = quarter.shape[0]
+    f = np.empty((2 * m, 2 * m))
+    f[:m, :m] = quarter
+    f[:m, m:] = quarter[:, ::-1]
+    f[m:] = f[m - 1::-1]
+    return f
+
+
+def _is_even(a):
+    return np.array_equal(a, a[::-1]) and np.array_equal(a, a[:, ::-1])
+
+
+@PROPERTY
+@given(half=st.integers(8, 48), mu=st.floats(0.05, 1.95), ratio=LENGTHS,
+       seed=SEEDS)
+@example(half=80, mu=1.2, ratio=1.0, seed=0)       # the bn_sweep grid
+@example(half=64, mu=1.1, ratio=0.9 / 1.4, seed=1)  # the rect_robin grid
+def test_even_apply_matches_full_apply(half, mu, ratio, seed):
+    """On an exactly even field the quarter apply matches the full apply
+    to 1e-13 of max(|W||f|), its output is exactly even, and `_convolve`'s
+    table term takes it."""
+    n = 2 * half
+    w = riesz.build_weights(rectangle(0.0, 1.0, 0.0, ratio, n), mu)
+    f = _mirrored(np.random.default_rng(seed).normal(size=(half, half)))
+    fast = riesz._even_apply(w.even_spectrum, f)
+    # the table is positive, so W |f| is max(|W||f|)
+    scale = np.max(riesz._fft_apply(w.spectrum, np.abs(f)))
+    assert np.max(np.abs(fast - riesz._fft_apply(w.spectrum, f))) <= 1e-13 * scale
+    assert _is_even(fast)
+    assert np.array_equal(riesz._table_apply(w, f), fast)
+
+
+def test_table_apply_off_exact_evenness_takes_full_path():
+    """One node moved by one ulp, an odd grid and a stack of even fields
+    all go through `_fft_apply` unchanged."""
+    rng = np.random.default_rng(7)
+    w = riesz.build_weights(rectangle(0.0, 1.4, 0.0, 0.9, 64), 1.1)
+    f = _mirrored(rng.normal(size=(32, 32)))
+    moved = f.copy()
+    moved[5, 9] = np.nextafter(moved[5, 9], np.inf)
+    odd = riesz.build_weights(rectangle(0.0, 1.4, 0.0, 0.9, 33), 1.1)
+    g = rng.normal(size=(33, 33))
+    g = g + g[::-1]
+    g = g + g[:, ::-1]
+    assert _is_even(g)
+    for weights, vals in ((w, moved), (odd, g), (w, np.stack([f, f[::-1]]))):
+        assert np.array_equal(riesz._table_apply(weights, vals),
+                              riesz._fft_apply(weights.spectrum, vals))
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_folded_transforms_keep_exact_evenness(n):
+    """An exactly even field has exactly zero coefficients on every mode
+    with an even k, and odd-k coefficients alone synthesize an exactly even
+    field; on both grid parities."""
+    dom = rectangle(0.0, 1.4, 0.0, 0.9, n)
+    basis = spectral.build_basis(dom, (n // 2) ** 2)
+    rng = np.random.default_rng(n)
+    u = rng.normal(size=(n, n))
+    u = u + u[::-1]
+    u = u + u[:, ::-1]
+    u[[0, -1]] = u[:, [0, -1]] = 0.0
+    even_k = np.any(basis.modes % 2 == 0, axis=1)
+    a = spectral._analyze(basis, u)
+    assert np.all(a[even_k] == 0.0) and np.all(a[~even_k] != 0.0)
+    c = np.where(even_k, 0.0, rng.normal(size=basis.K))
+    assert _is_even(spectral._synthesize(basis, c))
 
 
 def _scipy_apply(offsets, values):

@@ -400,6 +400,35 @@ def test_sign_changing_start_ends_in_no_convergence(small_setup):
     assert info.value.record.iterations == opts.max_iter
 
 
+def test_off_centre_branch_reports_mirror_defect(small_setup, small_record):
+    """The sin(2 pi x) warm start converges to a positive fixed point off
+    the centre; the record reports its mirror defect, the centred solution
+    one at rounding level."""
+    params, dom, basis, weights = small_setup
+    seed = Seed.warm_start(GridField(dom, np.sin(2.0 * math.pi * dom.axes()[0])))
+    opts = SolveOptions(theta=1.0, max_iter=30000, seed=seed)
+    rec = solver.solve_subcritical(params, dom, basis, weights, opts)
+    assert rec.converged and rec.positive
+    (defect,) = rec.mirror_defect
+    assert 0.9 < defect < 1.0
+    assert rec.to_dict()["mirror_defect"] == [defect]
+    assert small_record.mirror_defect[0] < 1e-14
+
+
+def test_2d_reference_solves_exactly_even(bn_sweep, asym_rectangle_run):
+    """Even seeds keep every 2-D iterate exactly even, through the quarter
+    Riesz apply and the parity-skipping transforms, at the Picard counts of
+    the full apply."""
+    report = bn_sweep[0]
+    rect = asym_rectangle_run[0]
+    assert [r.iterations for r in report.records] == [142, 156, 188]
+    assert rect.iterations == 146
+    for rec in (*report.records, rect):
+        u = rec.grid.values
+        assert np.array_equal(u, u[::-1]) and np.array_equal(u, u[:, ::-1])
+        assert rec.mirror_defect == (0.0, 0.0)
+
+
 @pytest.mark.parametrize("shape", ["negative", "zero", "negative_shifted"])
 def test_seed_without_positive_max_rejected(small_setup, shape):
     params, dom, basis, weights = small_setup
