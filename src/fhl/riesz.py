@@ -20,10 +20,14 @@ the quarter cell.  The offset table is applied as a discrete convolution
 through a zero-padded FFT pruned to the input and output rows; boundary-cell
 clipping is restored exactly through the strips and corners, whose linear
 convolutions along an edge go through `fft_convolve`, the one numpy
-real-FFT linear convolution (the 2-D moment diagnostic uses it too).  A
-field on an even grid that equals its flips exactly, with no tolerance,
-takes a half-size symmetric convolution instead (`_even_apply`), whose
-output is exactly even; every other field takes the full apply.
+real-FFT linear convolution (the 2-D moment diagnostic uses it too).
+
+In 1-D and 2-D, a field on an even grid that equals its flip on every
+axis exactly, with no tolerance, takes a half-grid symmetric convolution
+instead (`_even_apply`): per axis a Toeplitz product with the table's
+near window plus a Hankel product with its far window, both from one FFT
+of the half at half the full apply's length.  Its output is exactly even;
+every other field takes the full apply, which is its oracle.
 Documented accuracy is O(h) near the singularity, which is what the
 desk-scale solver configurations need.
 
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 import os
 import tempfile
@@ -97,8 +102,8 @@ class RieszWeights:
 
     @functools.cached_property
     def even_spectrum(self):
-        """The window spectrum of `_even_apply`, from offsets at the first
-        exactly even field (2-D, even N)."""
+        """The window spectra of `_even_apply`, from offsets at the first
+        exactly even field (even N)."""
         return _even_spectrum(self.offsets)
 
 
@@ -145,16 +150,12 @@ def _hat_weights(n, p, odd, scale):
     return scale * gen, left, right
 
 
+@functools.lru_cache(maxsize=64)
 def _fft_len(n):
     """The smallest 5-smooth length >= 2N - 1 (a fast real-FFT size, what
     `scipy.fft.next_fast_len(2N - 1, real=True)` gives); a circular product
     of this length holds the needed linear-product slots."""
-    return _smooth_len(2 * n - 1)
-
-
-@functools.lru_cache(maxsize=64)
-def _smooth_len(target):
-    """The smallest 5-smooth length >= target."""
+    target = 2 * n - 1
     best = 1 << (target - 1).bit_length()
     odd = 1   # 3^b 5^c
     while odd < best:
@@ -204,14 +205,23 @@ def _spectrum(offsets):
 
 
 def _even_spectrum(offsets):
-    """Complex spectrum of the 2-D table at the offsets -(M-1) .. N-1 per
-    axis (M = N/2, N even), wrapped about index 0 of the periodic L x L
-    grid, L >= 3M - 1 5-smooth: no wrapped-around product reaches the
-    outputs 0 .. N-1 of an M x M input."""
-    m = (offsets.shape[0] + 1) // 4
-    pad = _smooth_len(3 * m - 1) - (3 * m - 1)
-    window = np.pad(offsets[m:, m:], ((0, pad), (0, pad)))
-    return np.fft.rfft2(np.roll(window, (1 - m, 1 - m), (0, 1)))
+    """The 2^dim window spectra of `_even_apply` on the table T(d) =
+    offsets[d + N - 1] per axis (N even, M = N/2), near axes first and the
+    last axis fastest.  Along an axis the near window is T(d) and the far
+    window T(M + d), d = -(M-1) .. M-1, each flipped (the apply is a
+    correlation) and zero-padded to L = _fft_len(M).  A near window is
+    wrapped about index 0; a far window starts at index 0, which puts the
+    phase e^{-2 pi i w (M-1) / L} of the reversed half into its spectrum."""
+    n = (offsets.shape[0] + 1) // 2
+    m = n // 2
+    size = _fft_len(m)
+    near, far = slice(n - m, n + m - 1), slice(n, 2 * n - 1)
+    spectra = []
+    for windows in itertools.product((near, far), repeat=offsets.ndim):
+        w = np.pad(np.flip(offsets[windows]), [(0, size - (2 * m - 1))] * offsets.ndim)
+        shift = [1 - m if sl is near else 0 for sl in windows]
+        spectra.append(np.fft.rfftn(np.roll(w, shift, range(offsets.ndim))))
+    return np.stack(spectra)
 
 
 @functools.lru_cache(maxsize=1)
@@ -223,25 +233,30 @@ def _work(spec_shape, real_shape):
     return np.zeros(spec_shape, dtype=complex), np.empty(real_shape)
 
 
-def _fft_product(spectrum, values, n_out):
-    """Rows 0 .. n_out - 1 of the periodic 2-D product of spectrum (of an
-    L x L grid) with values zero-padded to L x L, over the last two axes;
-    a view of the work arrays, valid until the next 2-D transform.
+def _forward(values, size, n_out):
+    """The spectrum of values zero-padded to L x L (L = size) over the last
+    two axes, in the work arrays, and the work array of n_out real output
+    rows for `_inverse`; valid until the next 2-D transform.
 
     The transform is pruned: the real FFT along the last axis runs over the
-    input rows only (the padding rows are zeroed), the FFT along the other
-    axis, the product and its inverse run in place in the work arrays, and
-    the inverse real FFT runs over the n_out output rows only.
+    input rows only (the padding rows are zeroed), and the FFT along the
+    other axis runs in place.
     """
-    n, size = values.shape[-2], spectrum.shape[0]
-    spec, real = _work(values.shape[:-2] + spectrum.shape,
+    n = values.shape[-2]
+    spec, real = _work(values.shape[:-2] + (size, size // 2 + 1),
                        values.shape[:-2] + (n_out, size))
     np.fft.rfft(values, size, out=spec[..., :n, :])
     spec[..., n:, :] = 0.0
     np.fft.fft(spec, axis=-2, out=spec)
-    spec *= spectrum
+    return spec, real
+
+
+def _inverse(spec, real):
+    """Rows 0 .. n_out - 1 of the periodic field of the spectrum, into the
+    real work array of `_forward`; the inverse real FFT runs over those
+    rows only."""
     np.fft.ifft(spec, axis=-2, out=spec)
-    np.fft.irfft(spec[..., :n_out, :], size, out=real)
+    np.fft.irfft(spec[..., :real.shape[-2], :], real.shape[-1], out=real)
     return real
 
 
@@ -254,31 +269,63 @@ def _fft_apply(spectrum, values):
         size = _fft_len(n)
         out = np.fft.irfft(np.fft.rfft(values, size) * spectrum, size)
         return out[..., n - 1:2 * n - 1]
-    return _fft_product(spectrum, values, n)[..., :n].copy()
+    spec, real = _forward(values, spectrum.shape[0], n)
+    spec *= spectrum
+    return _inverse(spec, real)[..., :n].copy()
 
 
 def _even_apply(even_spectrum, values):
-    """`_fft_apply` of the 2-D table on one N x N field even in both axes
-    (N even), from its M x M quarter (M = N/2).  Along each axis the output
-    at i is c[i] + c[N-1-i], c[i] = sum_{k<M} T(i-k) f[k] (i < N) the
-    linear convolution of the quarter with the `_even_spectrum` window;
-    the folded quarter is flipped into all four, so the output is even."""
+    """`_fft_apply` of the table on one field of N nodes per axis (N even)
+    that is even on every axis, from its first M = N/2 nodes per axis.
+
+    Along an axis, out[i] = sum_{k<M} (T(k-i) + T(N-1-k-i)) f[k] for i < M:
+    a Toeplitz product with the near window of `_even_spectrum` plus a
+    Hankel product with the far one, which is a Toeplitz product on the
+    reversed half.  The reversed half's spectrum is the half's conjugated
+    along the last axis and index-flipped along the other, the phase being
+    in the stored spectrum: one forward FFT of length L = _fft_len(M) per
+    axis, 2^dim products and one pruned inverse.  The half is mirrored
+    into the full field, so the output is exactly even.
+    """
     n = values.shape[-1]
     m = n // 2
-    c = _fft_product(even_spectrum, values[:m, :m], n)[:, :n]
-    half = c[:m] + c[n - 1:m - 1:-1]
+    size = _fft_len(m)
+    if values.ndim == 1:
+        near, far = even_spectrum
+        spec = np.fft.rfft(values[:m], size)
+        half = np.fft.irfft(spec * near + spec.conj() * far, size)[:m]
+        return np.concatenate([half, half[::-1]])
+    near, near_far, far_near, far = even_spectrum
+    spec, real = _forward(values[:m, :m], size, m)
+    # in place, in two temporaries: fresh ones cost more than the products
+    flip = spec[-np.arange(size) % size]   # reversed along the first axis
+    term = np.conjugate(spec)
+    term *= far
+    spec *= near
+    spec += term
+    np.multiply(flip, far_near, out=term)
+    spec += term
+    np.conjugate(flip, out=flip)
+    flip *= near_far
+    spec += flip
+    quarter = _inverse(spec, real)[:, :m]
     out = np.empty((n, n))
-    np.add(half[:, :m], half[:, n - 1:m - 1:-1], out=out[:m, :m])
-    out[:m, m:] = out[:m, m - 1::-1]
+    out[:m, :m] = quarter
+    out[:m, m:] = quarter[:, ::-1]
     out[m:] = out[m - 1::-1]
     return out
 
 
 def _table_apply(weights: RieszWeights, vals):
-    """The offset-table term of `_convolve`: `_even_apply` on one 2-D field
-    of an even grid that equals its flips exactly, else `_fft_apply`."""
-    if (weights.domain.dim == 2 and weights.domain.n_grid % 2 == 0 and vals.ndim == 2
-            and np.array_equal(vals, vals[::-1]) and np.array_equal(vals, vals[:, ::-1])):
+    """The offset-table term of `_convolve`: `_even_apply` on one field of
+    an even grid that equals its flip on every axis exactly, else
+    `_fft_apply`."""
+    m = weights.domain.n_grid // 2
+    # each axis in turn leads (vals, then its transpose): the first M nodes
+    # along it must mirror the last M
+    if (vals.ndim == weights.domain.dim and weights.domain.n_grid % 2 == 0
+            and all(np.array_equal(v[:m], v[:m - 1:-1])
+                    for v in (vals, vals.T)[:vals.ndim])):
         return _even_apply(weights.even_spectrum, vals)
     return _fft_apply(weights.spectrum, vals)
 
@@ -405,7 +452,7 @@ def _convolve(weights: RieszWeights, vals):
     out = _table_apply(weights, vals)
     if weights.domain.dim == 1:
         # the end columns carry half hats; a Dirichlet field has none
-        if np.any(vals[..., [0, -1]]):
+        if vals[..., 0].any() or vals[..., -1].any():
             out = out + vals[..., :1] * weights.edge_x + vals[..., -1:] * weights.edge_y
         return out
     n = weights.domain.n_grid
@@ -483,7 +530,11 @@ def riesz_radial(f_radial, rho, params):
     rho = float(abs(rho))
     if rho == 0.0:
         return riesz_at_center(f_radial, params)
-    inner = ()   # breaks between rho and the outer break
+    # decade breaks rho 10^k < 1 between rho and the outer break: one QAGS
+    # piece over many decades misses the kernel's peak at r = rho (the
+    # log-singular one of n = 3, mu = 2) with a passing estimate; n = 2
+    # keeps none, because there they make mu = 1.5 fail at rho = 1e-2
+    inner = tuple(rho * 10.0 ** k for k in range(1, math.ceil(-math.log10(rho))))
 
     if n == 1:
         def integrand(r):
@@ -503,11 +554,9 @@ def riesz_radial(f_radial, rho, params):
                 log_ratio = math.log1p(2.0 * min(rho, r) / d)
                 kern = d ** q * math.expm1(q * log_ratio) / q if q else log_ratio
             return f_radial(r) * r * (2.0 * math.pi / rho) * kern
-        # decade breaks rho 10^k < 1: one QAGS piece over many decades
-        # misses the log-singular mu = 2 kernel with a passing estimate
-        inner = tuple(rho * 10.0 ** k for k in range(1, math.ceil(-math.log10(rho))))
     elif n == 2:
         from scipy.integrate import IntegrationWarning, quad
+        inner = ()
 
         def integrand(r):
             c = rho * rho + r * r

@@ -89,9 +89,11 @@ class SolutionRecord:
     # node sup is authoritative; the parabolic fit through the argmax node
     # and its neighbors is recorded alongside for the rate diagnostics
     sup_norm_interp: float = 0.0
-    # per axis max|u - R u| / sup, R the axis reflection: a branch that is
-    # not even about the centre is reported, not raised
+    # per axis max|u - R u| / sup, R the axis reflection, and the distance
+    # of the argmax node from the domain centre: a branch that is not even
+    # about the centre is reported, not raised
     mirror_defect: tuple = ()
+    centre_offset: float = 0.0
 
     def to_dict(self):
         return {
@@ -107,6 +109,7 @@ class SolutionRecord:
             "min_interior": self.min_interior,
             "positive": self.positive,
             "mirror_defect": list(self.mirror_defect),
+            "centre_offset": self.centre_offset,
             "n": self.params.n,
             "s": self.params.s,
             "mu": self.params.mu,
@@ -161,8 +164,11 @@ def _seed_values(seed: Seed, params, domain, basis):
         centre = tuple(0.5 * (lo + hi) for lo, hi in domain.ranges())
         cap = eval_bubble(Bubble(BubbleFamily.HARTREE_W, centre, seed.lam0, params),
                           np.stack(domain.mesh(), axis=-1))
-        # pin Dirichlet boundary values
         for axis in range(cap.ndim):
+            # the mesh nodes are not mirror-exact about the centre: the mean
+            # with the flip is, so the solve keeps an exactly even iterate
+            cap = 0.5 * (cap + np.flip(cap, axis))
+            # pin Dirichlet boundary values
             np.moveaxis(cap, axis, 0)[[0, -1]] = 0.0
         return cap
     coeffs = np.zeros(basis.K)
@@ -247,11 +253,12 @@ def _finalize(params, domain, basis, weights, opts, vals, coeffs, res, it):
     sup = u_grid.sup_norm()
     idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
     min_int = _interior_min(vals)
+    argmax = u_grid.argmax_point()
     return SolutionRecord(
         field=SpectralField(basis, coeffs),
         grid=u_grid,
         sup_norm=sup,
-        argmax=u_grid.argmax_point(),
+        argmax=argmax,
         mu_eps=sup / unit_w(params).amplitude,
         residual=float(res),
         quotient=energy_quotient(u_grid, params, basis, weights),
@@ -264,6 +271,8 @@ def _finalize(params, domain, basis, weights, opts, vals, coeffs, res, it):
         sup_norm_interp=float(_parabolic_peak(vals, idx)),
         mirror_defect=tuple(float(np.max(np.abs(vals - np.flip(vals, axis)))) / sup
                             for axis in range(vals.ndim)),
+        centre_offset=math.dist(argmax, [0.5 * (lo + hi)
+                                         for lo, hi in domain.ranges()]),
     )
 
 

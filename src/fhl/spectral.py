@@ -14,9 +14,12 @@ of per-axis sines, so it is a bilinear form in the points' sine vectors.
 Analysis and synthesis are a DST-I on an interval, computed from one numpy
 real FFT through the symmetric-extension view of the sine transforms
 (Martucci, IEEE Trans. Signal Process. 42 (1994)), so the module needs no
-SciPy.  On a rectangle they are parity-folded products: the sampled modes
-are mirror-symmetric, so each axis takes two half-size products, one with
-the odd-k rows on mirror sums and one with the even-k rows on mirror
+SciPy.  On an even grid that FFT runs over one row instead of two when
+the field is exactly even or the coefficients are exactly zero on every
+even k, which writes exact zeros on the even k and synthesizes an exactly
+even field.  On a rectangle they are parity-folded products: the sampled
+modes are mirror-symmetric, so each axis takes two half-size products, one
+with the odd-k rows on mirror sums and one with the even-k rows on mirror
 differences.  Synthesis is exactly zero on all four edges.  A block whose
 folded input is exactly zero is skipped, so an exactly even field has
 exactly zero even-k coefficients and odd-k coefficients synthesize an
@@ -257,8 +260,10 @@ def _dst1(x, scale):
     With k' = k + 1, an odd P splits the outputs by parity: k' = 2m reads
     -2 Im rfft_P(z)_m, and k' = P - 2m reads -2 Im rfft_P(z')_m with
     z'_j = (-1)^(j+1) z_j, since sin(pi (P - 2m) j / P) = (-1)^(j+1)
-    sin(2 pi m j / P); one rfft of the (2, P) stack gives both.  An even P
-    takes -Im of the rfft of the length-2P odd extension of z instead.
+    sin(2 pi m j / P); one rfft of the (2, P) stack gives both, or one row
+    of it when x is exactly even or exactly zero at every even k', which
+    keeps evenness exact.  An even P takes -Im of the rfft of the length-2P
+    odd extension of z instead.
     """
     p = len(x) + 1
     if p % 2 == 0:
@@ -269,10 +274,20 @@ def _dst1(x, scale):
     z = np.zeros((2, p))
     z[:, 1:] = x
     z[1, 2::2] *= -1.0
-    spec = np.fft.rfft(z).imag
     y = np.empty(p - 1)
-    np.multiply(spec[0, 1:], -2.0 * scale, out=y[1::2])
-    np.multiply(spec[1, :0:-1], -2.0 * scale, out=y[::2])
+    h = (p - 1) // 2
+    if not x[1::2].any():
+        # the rows coincide: the z row gives both halves, and y is even
+        np.multiply(np.fft.rfft(z[0]).imag[1:], -2.0 * scale, out=y[1::2])
+        y[::2] = y[:0:-2]
+    elif np.array_equal(x[:h], x[:h - 1:-1]):
+        # the z row is real up to rounding: y is zero at every even k'
+        np.multiply(np.fft.rfft(z[1]).imag[:0:-1], -2.0 * scale, out=y[::2])
+        y[1::2] = 0.0
+    else:
+        spec = np.fft.rfft(z).imag
+        np.multiply(spec[0, 1:], -2.0 * scale, out=y[1::2])
+        np.multiply(spec[1, :0:-1], -2.0 * scale, out=y[::2])
     return y
 
 

@@ -9,11 +9,11 @@ odd grids.
 
 The 2-D apply is checked against a dense quarter-cell quadrature built
 here, and its table term against `fftconvolve` on the stored table.  The
-quarter apply of exactly even fields is checked against the full
-`_fft_apply`, which stays its oracle, and every field that is not exactly
-even, or not a single field on an even grid, must take the full path.  The
-graded far-field rule of the 2-D build is checked against the 12-point
-rule on every offset, and the 1-D applies against a copy of the
+half-grid apply of exactly even fields, in 1-D and 2-D, is checked against
+the full `_fft_apply`, which stays its oracle, and every field that is not
+exactly even, or not a single field on an even grid, must take the full
+path.  The graded far-field rule of the 2-D build is checked against the
+12-point rule on every offset, and the 1-D applies against a copy of the
 `scipy.fft` apply they replaced, bit for bit.
 
 The numpy kernels that replaced SciPy routines are checked against them
@@ -231,21 +231,13 @@ def _mirrored(quarter):
 
 
 def _is_even(a):
-    return np.array_equal(a, a[::-1]) and np.array_equal(a, a[:, ::-1])
+    return all(np.array_equal(a, np.flip(a, axis)) for axis in range(a.ndim))
 
 
-@PROPERTY
-@given(half=st.integers(8, 48), mu=st.floats(0.05, 1.95), ratio=LENGTHS,
-       seed=SEEDS)
-@example(half=80, mu=1.2, ratio=1.0, seed=0)       # the bn_sweep grid
-@example(half=64, mu=1.1, ratio=0.9 / 1.4, seed=1)  # the rect_robin grid
-def test_even_apply_matches_full_apply(half, mu, ratio, seed):
-    """On an exactly even field the quarter apply matches the full apply
-    to 1e-13 of max(|W||f|), its output is exactly even, and `_convolve`'s
+def _check_even_apply(w, f):
+    """The half-grid apply on the exactly even f matches the full apply to
+    1e-13 of max(|W||f|), its output is exactly even, and `_convolve`'s
     table term takes it."""
-    n = 2 * half
-    w = riesz.build_weights(rectangle(0.0, 1.0, 0.0, ratio, n), mu)
-    f = _mirrored(np.random.default_rng(seed).normal(size=(half, half)))
     fast = riesz._even_apply(w.even_spectrum, f)
     # the table is positive, so W |f| is max(|W||f|)
     scale = np.max(riesz._fft_apply(w.spectrum, np.abs(f)))
@@ -254,20 +246,53 @@ def test_even_apply_matches_full_apply(half, mu, ratio, seed):
     assert np.array_equal(riesz._table_apply(w, f), fast)
 
 
+@PROPERTY
+@given(half=st.integers(8, 48), mu=st.floats(0.05, 1.95), ratio=LENGTHS,
+       seed=SEEDS)
+@example(half=80, mu=1.2, ratio=1.0, seed=0)       # the bn_sweep grid
+@example(half=64, mu=1.1, ratio=0.9 / 1.4, seed=1)  # the rect_robin grid
+def test_even_apply_matches_full_apply(half, mu, ratio, seed):
+    w = riesz.build_weights(rectangle(0.0, 1.0, 0.0, ratio, 2 * half), mu)
+    _check_even_apply(w, _mirrored(np.random.default_rng(seed).normal(size=(half, half))))
+
+
+@PROPERTY
+@given(half=st.integers(8, 2048), mu=MUS, length=LENGTHS, seed=SEEDS)
+@example(half=2048, mu=0.64, length=1.0, seed=0)   # the sweep1d grid
+@example(half=8, mu=0.95, length=1.0, seed=1)
+def test_even_apply_matches_full_apply_1d(half, mu, length, seed):
+    w = riesz.build_weights(interval(0.0, length, 2 * half), mu)
+    r = np.random.default_rng(seed).normal(size=half)
+    _check_even_apply(w, np.concatenate([r, r[::-1]]))
+
+
 def test_table_apply_off_exact_evenness_takes_full_path():
-    """One node moved by one ulp, an odd grid and a stack of even fields
-    all go through `_fft_apply` unchanged."""
+    """One node moved by one ulp, a field even along one axis only, an odd
+    grid and a stack of even fields all go through `_fft_apply` unchanged,
+    in 2-D and 1-D."""
     rng = np.random.default_rng(7)
     w = riesz.build_weights(rectangle(0.0, 1.4, 0.0, 0.9, 64), 1.1)
     f = _mirrored(rng.normal(size=(32, 32)))
     moved = f.copy()
     moved[5, 9] = np.nextafter(moved[5, 9], np.inf)
+    rows = rng.normal(size=(32, 64))
+    one_axis = np.concatenate([rows, rows[::-1]])
     odd = riesz.build_weights(rectangle(0.0, 1.4, 0.0, 0.9, 33), 1.1)
     g = rng.normal(size=(33, 33))
     g = g + g[::-1]
     g = g + g[:, ::-1]
     assert _is_even(g)
-    for weights, vals in ((w, moved), (odd, g), (w, np.stack([f, f[::-1]]))):
+    line = riesz.build_weights(interval(0.0, 1.0, 64), 0.6)
+    h = f[0]
+    h_moved = h.copy()
+    h_moved[9] = np.nextafter(h_moved[9], np.inf)
+    line_odd = riesz.build_weights(interval(0.0, 1.0, 65), 0.6)
+    h_odd = rng.normal(size=65)
+    h_odd = h_odd + h_odd[::-1]
+    assert _is_even(h) and _is_even(h_odd)
+    for weights, vals in ((w, moved), (w, one_axis), (w, one_axis.T),
+                          (odd, g), (w, np.stack([f, f[::-1]])),
+                          (line, h_moved), (line_odd, h_odd), (line, np.stack([h, h]))):
         assert np.array_equal(riesz._table_apply(weights, vals),
                               riesz._fft_apply(weights.spectrum, vals))
 
@@ -276,19 +301,20 @@ def test_table_apply_off_exact_evenness_takes_full_path():
 def test_folded_transforms_keep_exact_evenness(n):
     """An exactly even field has exactly zero coefficients on every mode
     with an even k, and odd-k coefficients alone synthesize an exactly even
-    field; on both grid parities."""
-    dom = rectangle(0.0, 1.4, 0.0, 0.9, n)
-    basis = spectral.build_basis(dom, (n // 2) ** 2)
+    field: on a rectangle on both grid parities, and on an interval of 2n
+    nodes, an even grid, where the DST-I has an odd P = N - 1."""
     rng = np.random.default_rng(n)
-    u = rng.normal(size=(n, n))
-    u = u + u[::-1]
-    u = u + u[:, ::-1]
-    u[[0, -1]] = u[:, [0, -1]] = 0.0
-    even_k = np.any(basis.modes % 2 == 0, axis=1)
-    a = spectral._analyze(basis, u)
-    assert np.all(a[even_k] == 0.0) and np.all(a[~even_k] != 0.0)
-    c = np.where(even_k, 0.0, rng.normal(size=basis.K))
-    assert _is_even(spectral._synthesize(basis, c))
+    for dom in (rectangle(0.0, 1.4, 0.0, 0.9, n), interval(0.0, 1.4, 2 * n)):
+        basis = spectral.build_basis(dom, (n // 2) ** dom.dim)
+        u = rng.normal(size=dom.shape)
+        for axis in range(dom.dim):
+            u = u + np.flip(u, axis)
+            np.moveaxis(u, axis, 0)[[0, -1]] = 0.0
+        even_k = np.any(basis.modes.reshape(basis.K, -1) % 2 == 0, axis=1)
+        a = spectral._analyze(basis, u)
+        assert np.all(a[even_k] == 0.0) and np.all(a[~even_k] != 0.0)
+        c = np.where(even_k, 0.0, rng.normal(size=basis.K))
+        assert _is_even(spectral._synthesize(basis, c))
 
 
 def _scipy_apply(offsets, values):

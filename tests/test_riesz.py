@@ -153,7 +153,7 @@ def test_2d_cap():
 
 def test_2d_work_arrays_hold_one_shape():
     """Even and non-even applies in turn at N = 512 keep one transform
-    shape's work arrays live, not the quarter's and the full grid's both."""
+    shape's work arrays live, not the half grid's and the full grid's both."""
     n = 512
     offs = np.arange(-(n - 1), n) ** 2.0
     # an exactly even table, so no quadrature is needed to build weights
@@ -163,9 +163,8 @@ def test_2d_work_arrays_hold_one_shape():
     uneven = even.copy()
     uneven[1, 2] = 2.0
     # complex spectrum rows plus real output rows, per transform shape
-    full = riesz._fft_len(n)
-    quarter = riesz._smooth_len(3 * n // 2 - 1)
-    work = {"even": quarter * (quarter // 2 + 1) * 16 + n * quarter * 8,
+    full, half = riesz._fft_len(n), riesz._fft_len(n // 2)
+    work = {"even": half * (half // 2 + 1) * 16 + n // 2 * half * 8,
             "uneven": full * (full // 2 + 1) * 16 + n * full * 8}
     # derived at the first even field: done here, outside the traced bytes
     assert w.even_spectrum is not None
@@ -252,18 +251,20 @@ def test_riesz_radial_non_integrable_is_quadrature_failure():
 
 @pytest.mark.parametrize("rho", [1e-6, 1e-8, 1e-10, 1e-12])
 def test_riesz_radial_n3_small_rho_matches_center(rho):
-    """Off-centre n = 3 values tend to the centre value, which they miss by
-    O(rho^2): the kernel difference (rho + r)^q - |rho - r|^q is formed
-    without cancelling two close powers, and decade breaks above rho carry
-    the log-singular kernel of mu = 2."""
+    """Off-centre n = 3 and n = 1 values tend to the centre value, which
+    they miss by O(rho^2): the n = 3 kernel difference (rho + r)^q -
+    |rho - r|^q is formed without cancelling two close powers, and decade
+    breaks above rho carry the log-singular kernel of mu = 2 and the
+    kernel peak of n = 1 at r = rho."""
 
     def f(r):
         return (1.0 + r * r) ** -3
 
-    for mu in (2.0, 1.999, 1.8):
-        p = make_params(3, 0.6, mu, 0.0, Regime.FREE_SPACE)
-        center = riesz.riesz_radial(f, 0.0, p)
-        assert abs(riesz.riesz_radial(f, rho, p) / center - 1.0) < 1e-10, mu
+    for n, s, mus in ((3, 0.6, (2.0, 1.999, 1.8)), (1, 0.3, (0.1, 0.4, 0.6))):
+        for mu in mus:
+            p = make_params(n, s, mu, 0.0, Regime.FREE_SPACE)
+            center = riesz.riesz_radial(f, 0.0, p)
+            assert abs(riesz.riesz_radial(f, rho, p) / center - 1.0) < 1e-10, (n, mu)
 
 
 @pytest.mark.parametrize("breaks", [(0.0, 1.0), (0.0, 0.3, 2.0, 7.0)])

@@ -136,6 +136,25 @@ def test_bubble_cap_seed(small_setup, small_record):
     assert abs(rec.sup_norm / small_record.sup_norm - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("dom", [interval(0.0, 1.0, 256),
+                                 rectangle(0.0, 1.0, 0.0, 1.0, 160),
+                                 rectangle(0.0, 1.4, 0.0, 0.9, 128)],
+                         ids=["interval", "square", "rectangle"])
+def test_bubble_cap_seed_exactly_even(dom):
+    """The cap is exactly even, though the mesh nodes are not mirror-exact
+    about the centre, so a bubble-cap solve keeps every iterate even."""
+    n = dom.dim
+    params = make_params(n, 0.45, n - 0.9, 0.2, Regime.SUBCRITICAL_HARTREE)
+    basis = spectral.build_basis(dom, 16)
+    cap = solver._seed_values(Seed.bubble_cap(6.0), params, dom, basis)
+    assert all(np.array_equal(cap, np.flip(cap, axis)) for axis in range(n))
+    if n == 1:
+        weights = riesz.build_weights(dom, solver.kernel_exponent(params))
+        opts = SolveOptions(theta=0.5, max_iter=1000, seed=Seed.bubble_cap(6.0))
+        rec = solver.solve_subcritical(params, dom, basis, weights, opts)
+        assert rec.converged and rec.mirror_defect == (0.0,)
+
+
 @pytest.mark.parametrize("params, dom, K", [
     (make_params(1, 0.3, 0.4, 0.3, Regime.SUBCRITICAL_HARTREE),
      interval(0.0, 1.0, 256), 64),
@@ -412,7 +431,12 @@ def test_off_centre_branch_reports_mirror_defect(small_setup, small_record):
     (defect,) = rec.mirror_defect
     assert 0.9 < defect < 1.0
     assert rec.to_dict()["mirror_defect"] == [defect]
-    assert small_record.mirror_defect[0] < 1e-14
+    assert small_record.mirror_defect == (0.0,)
+    # the argmax node sits near 0.325, 0.175 from the centre; the centred
+    # solution's is one of the two nodes half a cell from it
+    assert abs(rec.centre_offset - 0.175) < 0.01
+    assert rec.to_dict()["centre_offset"] == rec.centre_offset
+    assert small_record.centre_offset == pytest.approx(0.5 / 255, rel=1e-9)
 
 
 def test_2d_reference_solves_exactly_even(bn_sweep, asym_rectangle_run):
@@ -427,6 +451,44 @@ def test_2d_reference_solves_exactly_even(bn_sweep, asym_rectangle_run):
         u = rec.grid.values
         assert np.array_equal(u, u[::-1]) and np.array_equal(u, u[:, ::-1])
         assert rec.mirror_defect == (0.0, 0.0)
+        # the even grid has no node on the centre: the argmax is one of the
+        # four around it, half a cell diagonal away
+        half_cell = 0.5 * math.hypot(*rec.grid.domain.spacings())
+        assert rec.centre_offset == pytest.approx(half_cell, rel=1e-9)
+
+
+def test_1d_reference_solve_exactly_even(monkeypatch):
+    """The README config at N = 1024: from the first-eigenfunction seed the
+    parity-exact sine transforms keep every iterate exactly even, so every
+    Riesz apply takes the half-grid path.  An odd N and a field one ulp off
+    evenness take the full apply."""
+    taken = []
+    for name in ("_even_apply", "_fft_apply"):
+        def counted(*args, _name=name, _apply=getattr(riesz, name)):
+            taken.append(_name)
+            return _apply(*args)
+        monkeypatch.setattr(riesz, name, counted)
+    params = make_params(1, 0.18, 1.0 - 0.36, 0.4, Regime.SUBCRITICAL_HARTREE)
+    opts = SolveOptions(theta=1.0, max_iter=4000, residual_tol=1e-9)
+    for n in (1024, 1023):
+        dom = interval(0.0, 1.0, n)
+        basis = spectral.build_basis(dom, 256)
+        weights = riesz.build_weights(dom, params.mu)
+        taken.clear()
+        rec = solver.solve_subcritical(params, dom, basis, weights, opts)
+        assert rec.converged
+        # one apply per Picard step and one in the energy quotient
+        assert len(taken) == rec.iterations + 1
+        if n % 2 == 0:
+            assert set(taken) == {"_even_apply"}
+            assert rec.mirror_defect == (0.0,)
+            u = rec.grid.values.copy()
+            u[100] = np.nextafter(u[100], np.inf)
+            taken.clear()
+            riesz._table_apply(weights, u)
+            assert taken == ["_fft_apply"]
+        else:
+            assert set(taken) == {"_fft_apply"}
 
 
 @pytest.mark.parametrize("shape", ["negative", "zero", "negative_shifted"])
