@@ -229,6 +229,7 @@ def symmetrization_check(f: GridField, mu, weights):
     lhsA = INT INT x.(x-t) |x-t|^{-(mu+2)} f(t) f(x) dt dx
     lhsB = (1/2) INT INT |x-t|^{-mu} f(t) f(x) dt dx
     computed by independent quadratures; residual |lhsA/lhsB - 1|.
+    A 2-D f must vanish on the boundary, as `riesz.convolve` requires.
     """
     if np.any(f.values < 0.0):
         raise OutOfRange("symmetrization_check expects f >= 0")
@@ -283,7 +284,7 @@ def _moment_double_2d(f: GridField, mu):
         ky = np.where(r > 0, dy * r ** (-(mu + 2.0)), 0.0) * hx * hy
     w = dom.node_weights()
     gx, gy = dom.mesh()
-    cx, cy = riesz.fft_convolve(f.values, np.stack([kx, ky]), (-2, -1))
+    cx, cy = riesz.fft_convolve(f.values, np.stack([kx, ky]))
     return float(np.sum(w * f.values * (gx * cx + gy * cy)))
 
 

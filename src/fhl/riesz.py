@@ -11,16 +11,17 @@ O(N log N).  The dense builder `moment_weights_1d` stays as the oracle of
 `moment_apply`.
 
 2-D weights are piecewise-constant product integration over node-centered
-cells clipped to the domain.  Uniform spacing makes every cell integral a
-function of the node offset only, and every clipped cell is a union of
-reflected quarter cells, so one Gauss table over the quarter cell gives the
-full-cell offset table, the per-edge strip tables and the per-corner fields
-by sums, flips and slices; its Gauss rule is graded by the distance from
-the quarter cell.  The offset table is applied as a discrete convolution
-through a zero-padded FFT pruned to the input and output rows; boundary-cell
-clipping is restored exactly through the strips and corners, whose linear
-convolutions along an edge go through `fft_convolve`, the one numpy
-real-FFT linear convolution (the 2-D moment diagnostic uses it too).
+cells.  Uniform spacing makes every cell integral a function of the node
+offset only, and a full cell is four reflected quarter cells, so one Gauss
+table over the quarter cell gives the offset table by sums and flips; its
+Gauss rule is graded by the distance from the quarter cell.  The table is
+applied as a discrete convolution through a zero-padded FFT pruned to the
+input and output rows.  The problem is Dirichlet (u = 0 off the domain),
+so the 2-D apply takes only fields that vanish on the boundary nodes, the
+only nodes whose cells the domain clips; `convolve` raises OutOfRange on
+any other field.
+`fft_convolve` is the one numpy real-FFT linear convolution over the last
+two axes, for the 2-D moment diagnostic.
 
 In 1-D and 2-D, a field on an even grid that equals its flip on every
 axis exactly, with no tolerance, takes a half-grid symmetric convolution
@@ -85,14 +86,15 @@ class RieszWeights:
     # never set: no layout stores dense rows; readers of weights
     # (benchmarks/spans.py) test it to pick the layout's byte count
     matrix: np.ndarray | None = None
-    # 2-D: full-cell offset table, strip tables of the x- and y-overhangs
-    # and corner fields, all derived from one quarter-cell table
-    # (_quarter_table, _cell_tables).
+    # 2-D: full-cell offset table, from one quarter-cell table
+    # (_quarter_table).
     # 1-D: generator by column-minus-row offset + N - 1, and the corrections
-    # of the first and last columns (half hats minus full hats).
+    # of the first and last columns (half hats minus full hats); 2-D
+    # weights leave those empty, because a Dirichlet field has no end terms.
     offsets: np.ndarray | None = None
-    edge_x: np.ndarray | None = None
-    edge_y: np.ndarray | None = None
+    edge_x: np.ndarray = field(default_factory=lambda: np.empty(0))
+    edge_y: np.ndarray = field(default_factory=lambda: np.empty(0))
+    # never set; read by benchmarks/spans.py
     corners: dict = field(default_factory=dict)
     # set from offsets, so cache loads carry it too
     spectrum: np.ndarray = field(init=False, repr=False)
@@ -168,20 +170,16 @@ def _fft_len(n):
     return best
 
 
-def fft_convolve(values, kernel, axes):
-    """Entries N-1 .. 2N-2 along each of the axes of the linear convolution
-    of values (N entries on each) with kernel (2N - 1 on each): the
+def fft_convolve(values, kernel):
+    """Entries N-1 .. 2N-2 along each of the last two axes of the linear
+    convolution of values (N x N there) with kernel (2N-1 x 2N-1): the
     centered `mode="same"` window, by a real FFT of _fft_len(N) per axis,
-    which no wrapped-around product reaches.  The other axes broadcast.
+    which no wrapped-around product reaches.  Leading axes broadcast.
     """
-    n = values.shape[axes[0]]
-    sizes = [_fft_len(n)] * len(axes)
-    spec = np.fft.rfftn(values, sizes, axes) * np.fft.rfftn(kernel, sizes, axes)
-    out = np.fft.irfftn(spec, sizes, axes)
-    window = [slice(None)] * out.ndim
-    for ax in axes:
-        window[ax] = slice(n - 1, 2 * n - 1)
-    return out[tuple(window)]
+    n = values.shape[-2]
+    sizes = [_fft_len(n)] * 2
+    spec = np.fft.rfft2(values, sizes) * np.fft.rfft2(kernel, sizes)
+    return np.fft.irfft2(spec, sizes)[..., n - 1:2 * n - 1, n - 1:2 * n - 1]
 
 
 def _spectrum(offsets):
@@ -391,29 +389,6 @@ def _quarter_table(domain: DomainSpec, mu):
     return q
 
 
-def _cell_tables(q):
-    """Offset table, strip tables and corner fields from the quarter table.
-
-    Reflecting the quarter cell in an axis negates that offset, so every
-    clipped cell is a sum of flips of q.
-    """
-    n = (q.shape[0] + 1) // 2
-    # full cells: four reflected quarters, summed so that the table is even
-    half = q + q[::-1, :]
-    table = half + half[:, ::-1]
-    # offsets 0, -1, .., -(n-1) and -(n-1), .., 0
-    lo, hi = slice(n - 1, None, -1), slice(None, n)
-    # strips E[d_along + (n-1), d_perp], d_perp >= 0 measured from the
-    # boundary inward: the outward half cell is two reflected quarters
-    ex = (q[lo, :] + q[lo, ::-1]).T
-    ey = q[:, lo] + q[::-1, lo]
-    # corner fields: the outward quarter cell of each corner node, seen
-    # from every grid node
-    corners = {(0, 0): q[lo, lo], (n - 1, 0): q[hi, lo],
-               (0, n - 1): q[lo, hi], (n - 1, n - 1): q[hi, hi]}
-    return table, ex, ey, corners
-
-
 # --------------------------------------------------------------------------
 # public surface
 # --------------------------------------------------------------------------
@@ -434,9 +409,10 @@ def build_weights(domain: DomainSpec, mu) -> RieszWeights:
         raise OutOfRange(
             f"2-D weights capped at N = {_MAX_GRID_2D} per axis; "
             f"reduce the grid resolution (got {domain.n_grid})")
-    table, ex, ey, corners = _cell_tables(_quarter_table(domain, mu))
-    return RieszWeights(mu=mu, domain=domain, offsets=table,
-                        edge_x=ex, edge_y=ey, corners=corners)
+    q = _quarter_table(domain, mu)
+    # full cells: four reflected quarters, summed so that the table is even
+    half = q + q[::-1, :]
+    return RieszWeights(mu=mu, domain=domain, offsets=half + half[:, ::-1])
 
 
 def convolve(weights: RieszWeights, f: GridField) -> GridField:
@@ -448,26 +424,22 @@ def convolve(weights: RieszWeights, f: GridField) -> GridField:
 
 def _convolve(weights: RieszWeights, vals):
     """The array-level body of `convolve` on values of the weights' grid,
-    which does not validate its input or its output."""
-    out = _table_apply(weights, vals)
+    which does not validate its input or its output, except that a 2-D
+    field must vanish on the boundary."""
     if weights.domain.dim == 1:
+        out = _table_apply(weights, vals)
         # the end columns carry half hats; a Dirichlet field has none
         if vals[..., 0].any() or vals[..., -1].any():
             out = out + vals[..., :1] * weights.edge_x + vals[..., -1:] * weights.edge_y
         return out
-    n = weights.domain.n_grid
-    # subtract the overhang of boundary-node cells, restore corner pieces
-    ends = ((0, slice(None)), (n - 1, slice(None, None, -1)))
-    for j, order in ends:
-        if np.any(vals[:, j]):
-            out -= fft_convolve(vals[:, j, None], weights.edge_y, (0,))[:, order]
-    for i, order in ends:
-        if np.any(vals[i, :]):
-            out -= fft_convolve(vals[i, :, None], weights.edge_x, (0,)).T[order, :]
-    for (i, j), fld in weights.corners.items():
-        if vals[i, j] != 0.0:
-            out += vals[i, j] * fld
-    return out
+    # the table holds whole cells; only boundary nodes have cells that the
+    # domain clips
+    if (vals[..., 0, :].any() or vals[..., -1, :].any()
+            or vals[..., 0].any() or vals[..., -1].any()):
+        raise OutOfRange("the 2-D Riesz apply takes Dirichlet fields only "
+                         "(u = 0 on and off the boundary); this field is "
+                         "nonzero on the boundary")
+    return _table_apply(weights, vals)
 
 
 # --------------------------------------------------------------------------
@@ -640,7 +612,7 @@ def moment_apply(domain: DomainSpec, mu, values):
 # weights cache for 2-D tables (binary sidecar, format-versioned)
 # --------------------------------------------------------------------------
 
-_CACHE_FORMAT_VERSION = 3
+_CACHE_FORMAT_VERSION = 4
 # what np.load raises on a missing, truncated, empty or foreign file
 _CACHE_LOAD_ERRORS = (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile)
 
@@ -672,23 +644,17 @@ def load_or_build_weights(domain: DomainSpec, mu, directory=None) -> RieszWeight
             # the handle is ours, so a file np.load rejects is closed too
             with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
                 if int(data["format_version"][0]) == _CACHE_FORMAT_VERSION:
-                    return RieszWeights(
-                        mu=float(mu), domain=domain, offsets=data["offsets"],
-                        edge_x=data["edge_x"], edge_y=data["edge_y"],
-                        corners={tuple(map(int, k.split("_")[1:])): data[k]
-                                 for k in data.files if k.startswith("corner_")})
+                    return RieszWeights(mu=float(mu), domain=domain,
+                                        offsets=data["offsets"])
         except _CACHE_LOAD_ERRORS:
             pass  # damaged: rebuilt and overwritten below
     w = build_weights(domain, mu)
     os.makedirs(directory, exist_ok=True)
-    payload = {"format_version": np.array([_CACHE_FORMAT_VERSION]),
-               "offsets": w.offsets, "edge_x": w.edge_x, "edge_y": w.edge_y}
-    for (i, j), fld in w.corners.items():
-        payload[f"corner_{i}_{j}"] = fld
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fhlw_", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **payload)
+            np.savez(fh, format_version=np.array([_CACHE_FORMAT_VERSION]),
+                     offsets=w.offsets)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

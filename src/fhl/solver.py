@@ -156,24 +156,27 @@ def _nonlinear_rhs(weights: RieszWeights, u_vals, p):
 
 
 def _seed_values(seed: Seed, params, domain, basis):
+    if seed.kind == "first_eigenfunction":
+        coeffs = np.zeros(basis.K)
+        coeffs[0] = 1.0
+        return synthesis(SpectralField(basis, coeffs)).values
     if seed.kind == "warm_start":
         if seed.field.domain != domain:
             raise OutOfRange("warm start requires a field on the solve grid")
-        return seed.field.values.copy()
-    if seed.kind == "bubble_cap":
+        vals = seed.field.values.copy()
+    else:
         centre = tuple(0.5 * (lo + hi) for lo, hi in domain.ranges())
-        cap = eval_bubble(Bubble(BubbleFamily.HARTREE_W, centre, seed.lam0, params),
-                          np.stack(domain.mesh(), axis=-1))
-        for axis in range(cap.ndim):
+        vals = eval_bubble(Bubble(BubbleFamily.HARTREE_W, centre, seed.lam0, params),
+                           np.stack(domain.mesh(), axis=-1))
+    for axis in range(vals.ndim):
+        if seed.kind == "bubble_cap":
             # the mesh nodes are not mirror-exact about the centre: the mean
             # with the flip is, so the solve keeps an exactly even iterate
-            cap = 0.5 * (cap + np.flip(cap, axis))
-            # pin Dirichlet boundary values
-            np.moveaxis(cap, axis, 0)[[0, -1]] = 0.0
-        return cap
-    coeffs = np.zeros(basis.K)
-    coeffs[0] = 1.0
-    return synthesis(SpectralField(basis, coeffs)).values
+            vals = 0.5 * (vals + np.flip(vals, axis))
+        # pin Dirichlet boundary values: the 2-D Riesz apply takes no
+        # others, and a damped step would keep (1 - theta)^k of them
+        np.moveaxis(vals, axis, 0)[[0, -1]] = 0.0
+    return vals
 
 
 def _solve_fixed_point(params, domain, basis, weights, opts, p, denom):

@@ -6,7 +6,8 @@ applies the same rows in Toeplitz form through an FFT.  `phi_at` evaluates
 every eigenfunction of a basis at one point, the per-mode form of the
 factored Green sums.  `moment_double_2d_fftconvolve` is the 2-D moment
 double integral as it stood on `scipy.signal.fftconvolve`, the oracle of
-the `riesz.fft_convolve` form.
+`riesz.fft_convolve`, which convolves over the last two axes and
+broadcasts a stack of kernels.
 
 The SciPy routines that the numpy solve path replaced stay here as its
 oracles: `scipy.fft.dst` for `spectral._dst1`, `scipy.fft.next_fast_len`

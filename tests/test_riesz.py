@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fhl import riesz
+from fhl import riesz, solver, spectral
 from fhl.errors import (DivergentTail, GridMismatch, KernelNotIntegrable,
                         OutOfRange, QuadratureFailure)
 from fhl.grids import GridField, interval, rectangle
@@ -127,23 +127,51 @@ def test_refinement_convergence_order():
 
 
 def test_2d_mass_exact_against_polar_oracle():
+    """The field that is 1 on the interior nodes integrates the kernel over
+    the inner rectangle, each side shrunk by half a cell: a signed sum of
+    four polar quadrants seen from the node, inside it or not."""
     dom = rectangle(0.0, 1.4, 0.0, 0.9, 48)
     mu = 1.1
     w = riesz.build_weights(dom, mu)
-    conv = riesz.convolve(w, GridField(dom, np.ones((48, 48)))).values
+    f = np.zeros((48, 48))
+    f[1:-1, 1:-1] = 1.0
+    conv = riesz.convolve(w, GridField(dom, f)).values
     xs, ys = dom.axes()
+    hx, hy = dom.spacings()
     ax, bx, ay, by = dom.bounds
+    ax, bx, ay, by = ax + hx / 2, bx - hx / 2, ay + hy / 2, by - hy / 2
+
+    def corner(a, b):
+        # the integral over the rectangle between the node and (a, b),
+        # signed by the side of the node (a, b) lies on
+        return np.sign(a) * np.sign(b) * _singular_quadrant(abs(a), abs(b), mu)
 
     def oracle(tx, ty):
-        tot = 0.0
-        for a in (tx - ax, bx - tx):
-            for b in (ty - ay, by - ty):
-                if a > 0 and b > 0:
-                    tot += _singular_quadrant(a, b, mu)
-        return tot
+        return (corner(bx - tx, by - ty) - corner(ax - tx, by - ty)
+                - corner(bx - tx, ay - ty) + corner(ax - tx, ay - ty))
 
     for (i, j) in ((24, 24), (0, 0), (24, 0), (0, 24), (13, 7), (47, 13)):
         assert abs(conv[i, j] / oracle(xs[i], ys[j]) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("node", [(0, 7), (15, 7), (7, 0), (7, 15), (0, 0)],
+                         ids=["x-low", "x-high", "y-low", "y-high", "corner"])
+def test_2d_apply_rejects_nonzero_boundary(node):
+    """A 2-D field nonzero on any edge, or on a corner node alone, is not a
+    Dirichlet field: convolve and the energy quotient raise OutOfRange
+    instead of applying the whole-cell table to it."""
+    dom = rectangle(0.0, 1.4, 0.0, 0.9, 16)
+    params = make_params(2, 0.45, 1.2, 0.1, Regime.BREZIS_NIRENBERG)
+    w = riesz.build_weights(dom, params.mu)
+    f = np.zeros((16, 16))
+    f[4:12, 4:12] = 1.0
+    riesz.convolve(w, GridField(dom, f))
+    f[node] = 0.5
+    with pytest.raises(OutOfRange, match="Dirichlet"):
+        riesz.convolve(w, GridField(dom, f))
+    basis = spectral.build_basis(dom, 16)
+    with pytest.raises(OutOfRange, match="Dirichlet"):
+        solver.energy_quotient(GridField(dom, f), params, basis, w)
 
 
 def test_2d_cap():
@@ -278,12 +306,7 @@ def test_half_line_integral_closed_forms(breaks):
 
 
 def _same_2d_weights(w1, w2):
-    return (np.array_equal(w1.offsets, w2.offsets)
-            and np.array_equal(w1.edge_x, w2.edge_x)
-            and np.array_equal(w1.edge_y, w2.edge_y)
-            and w1.corners.keys() == w2.corners.keys()
-            and all(np.array_equal(w1.corners[k], w2.corners[k])
-                    for k in w1.corners))
+    return np.array_equal(w1.offsets, w2.offsets)
 
 
 def test_cache_round_trip(tmp_path):
@@ -291,10 +314,11 @@ def test_cache_round_trip(tmp_path):
     w1 = riesz.load_or_build_weights(dom, 1.1, directory=str(tmp_path))
     w2 = riesz.load_or_build_weights(dom, 1.1, directory=str(tmp_path))
     assert _same_2d_weights(w1, w2)
-    assert len(w2.corners) == 4
     files = list(tmp_path.glob("fhlw_*.npz"))
     assert len(files) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == [files[0].name]
+    with np.load(files[0]) as data:
+        assert sorted(data.files) == ["format_version", "offsets"]
 
 
 def test_cache_skips_1d(tmp_path):
@@ -304,22 +328,31 @@ def test_cache_skips_1d(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_stale_format_cache_rebuilt_and_replaced(tmp_path):
+@pytest.mark.parametrize("version", [2, 3])
+def test_stale_format_cache_rebuilt_and_replaced(tmp_path, version):
     """A file of another format version is never served: it is rebuilt and
-    replaced by a file of the current version."""
+    replaced by a file of the current version.  Version 3 is the layout
+    with the strip tables and corner fields."""
     dom = rectangle(0.0, 1.4, 0.0, 0.9, 16)
     fresh = riesz.load_or_build_weights(dom, 1.1, directory=str(tmp_path))
     (path,) = tmp_path.glob("fhlw_*.npz")
     with np.load(path) as data:
         stale = {k: data[k] for k in data.files}
-    stale["format_version"] = np.array([2])
+    stale["format_version"] = np.array([version])
     stale["offsets"] = 2.0 * stale["offsets"]
+    if version == 3:
+        # the strip tables and corner fields that format 3 held
+        n = dom.n_grid
+        stale["edge_x"] = stale["edge_y"] = np.ones((2 * n - 1, n))
+        stale.update({f"corner_{i}_{j}": np.ones((n, n))
+                      for i in (0, n - 1) for j in (0, n - 1)})
     np.savez(path, **stale)
     w = riesz.load_or_build_weights(dom, 1.1, directory=str(tmp_path))
     assert _same_2d_weights(w, fresh)
     with np.load(path) as data:
         assert int(data["format_version"][0]) == riesz._CACHE_FORMAT_VERSION
         assert np.array_equal(data["offsets"], fresh.offsets)
+        assert sorted(data.files) == ["format_version", "offsets"]
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 

@@ -236,6 +236,28 @@ def test_bn_monotone_sup(bn_setup):
     assert sups[0] < sups[1] < sups[2]
 
 
+@pytest.mark.parametrize("setup", ["small_setup", "bn_setup"])
+def test_warm_start_boundary_pinned(setup, request):
+    """A warm start that is nonzero on the boundary is pinned to exact zero
+    there, as the bubble cap is: the 2-D apply takes no other field, and a
+    damped step would keep (1 - theta)^k of the seed's edges.  The solve
+    is the one from the pinned seed, bit for bit."""
+    params, dom, basis, weights = request.getfixturevalue(setup)
+    # at least 0.2 everywhere, so on every edge
+    vals = 0.2 + np.prod([np.sin(math.pi * x) for x in dom.mesh()], axis=0)
+    pinned = vals.copy()
+    for axis in range(vals.ndim):
+        np.moveaxis(pinned, axis, 0)[[0, -1]] = 0.0
+    seed = Seed.warm_start(GridField(dom, vals))
+    assert np.array_equal(solver._seed_values(seed, params, dom, basis), pinned)
+    recs = [solver.solve(params, dom, basis, weights,
+                         SolveOptions(theta=0.5, max_iter=2000,
+                                      seed=Seed.warm_start(GridField(dom, v))))
+            for v in (vals, pinned)]
+    assert recs[0].converged and recs[0].iterations == recs[1].iterations
+    assert np.array_equal(recs[0].grid.values, recs[1].grid.values)
+
+
 def test_mesh_sensitivity_documented(small_setup):
     """The s = 0.3 configuration is resolution-limited: the sup norm shifts
     double-digit percent between (K, N) and (2K, 2N).  This pins the number
