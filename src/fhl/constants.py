@@ -146,36 +146,28 @@ class ConstantKind(enum.Enum):
     D_NS = "d_ns"
 
 
+# each constant's formula, from (n, s, mu)
+_FORMULAS = {
+    ConstantKind.C_NS: lambda n, s, mu: c_ns(n, s),
+    ConstantKind.C_HLS_SHARP: lambda n, s, mu: c_hls_sharp(n, mu),
+    ConstantKind.ALPHA_NMUS: lambda n, s, mu: alpha_nmus(n, mu, s),
+    ConstantKind.BETA_TILDE_NMUS: lambda n, s, mu: beta_tilde_nmus(n, mu, s),
+    ConstantKind.GAMMA_NS: lambda n, s, mu: gamma_ns(n, s),
+    ConstantKind.KAPPA_S: lambda n, s, mu: kappa_s(s),
+    ConstantKind.B_NS: lambda n, s, mu: b_big_ns(n, s),
+    ConstantKind.M_NS: lambda n, s, mu: m_big_ns(n, s),
+    ConstantKind.F_NS: lambda n, s, mu: f_big_ns(n, s),
+    ConstantKind.SIGMA_N: lambda n, s, mu: sigma_n(n),
+    ConstantKind.SMALL_B_NS: lambda n, s, mu: small_b_ns(n, s),
+    ConstantKind.D_NS: lambda n, s, mu: d_ns(n, mu, s),
+}
+
+
 def closed_form(kind, params: Params):
     """Evaluate one named constant for the given parameters."""
     if not isinstance(kind, ConstantKind):
         raise UnsupportedKind(f"not a ConstantKind: {kind!r}")
-    n, s, mu = params.n, params.s, params.mu
-    if kind is ConstantKind.C_NS:
-        return c_ns(n, s)
-    if kind is ConstantKind.C_HLS_SHARP:
-        return c_hls_sharp(n, mu)
-    if kind is ConstantKind.ALPHA_NMUS:
-        return alpha_nmus(n, mu, s)
-    if kind is ConstantKind.BETA_TILDE_NMUS:
-        return beta_tilde_nmus(n, mu, s)
-    if kind is ConstantKind.GAMMA_NS:
-        return gamma_ns(n, s)
-    if kind is ConstantKind.KAPPA_S:
-        return kappa_s(s)
-    if kind is ConstantKind.B_NS:
-        return b_big_ns(n, s)
-    if kind is ConstantKind.M_NS:
-        return m_big_ns(n, s)
-    if kind is ConstantKind.F_NS:
-        return f_big_ns(n, s)
-    if kind is ConstantKind.SIGMA_N:
-        return sigma_n(n)
-    if kind is ConstantKind.SMALL_B_NS:
-        return small_b_ns(n, s)
-    if kind is ConstantKind.D_NS:
-        return d_ns(n, mu, s)
-    raise UnsupportedKind(f"unhandled kind {kind!r}")  # pragma: no cover
+    return _FORMULAS[kind](params.n, params.s, params.mu)
 
 
 def all_constants(params: Params):

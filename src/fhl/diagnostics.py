@@ -276,15 +276,16 @@ def _moment_double_2d(f: GridField, mu):
     n = dom.n_grid
     hx, hy = dom.spacings()
     offs = np.arange(-(n - 1), n)
-    dx = offs[:, None] * hx
-    dy = offs[None, :] * hy
+    # the kernel tables are indexed by the offset t - x; dx, dy are x - t
+    dx = -offs[:, None] * hx
+    dy = -offs[None, :] * hy
     r = np.hypot(dx, dy)
     with np.errstate(divide="ignore", invalid="ignore"):
         kx = np.where(r > 0, dx * r ** (-(mu + 2.0)), 0.0) * hx * hy
         ky = np.where(r > 0, dy * r ** (-(mu + 2.0)), 0.0) * hx * hy
     w = dom.node_weights()
     gx, gy = dom.mesh()
-    cx, cy = riesz.fft_convolve(f.values, np.stack([kx, ky]))
+    cx, cy = (riesz._fft_apply(riesz._spectrum(k), f.values) for k in (kx, ky))
     return float(np.sum(w * f.values * (gx * cx + gy * cy)))
 
 

@@ -14,14 +14,13 @@ O(N log N).  The dense builder `moment_weights_1d` stays as the oracle of
 cells.  Uniform spacing makes every cell integral a function of the node
 offset only, and a full cell is four reflected quarter cells, so one Gauss
 table over the quarter cell gives the offset table by sums and flips; its
-Gauss rule is graded by the distance from the quarter cell.  The table is
-applied as a discrete convolution through a zero-padded FFT pruned to the
-input and output rows.  The problem is Dirichlet (u = 0 off the domain),
-so the 2-D apply takes only fields that vanish on the boundary nodes, the
-only nodes whose cells the domain clips; `convolve` raises OutOfRange on
-any other field.
-`fft_convolve` is the one numpy real-FFT linear convolution over the last
-two axes, for the 2-D moment diagnostic.
+Gauss rule is graded by the distance from the quarter cell.  The problem
+is Dirichlet (u = 0 off the domain), so the 2-D apply takes only fields
+that vanish on the boundary nodes, the only nodes whose cells the domain
+clips; `convolve` raises OutOfRange on any other field.
+Every table (the 1-D Riesz and odd moment generators, the 2-D offset
+table and moment kernels) takes one FFT convolution: its `_spectrum`, and
+`_fft_apply`, which keeps outputs N-1 .. 2N-2 along each axis.
 
 In 1-D and 2-D, a field on an even grid that equals its flip on every
 axis exactly, with no tolerance, takes a half-grid symmetric convolution
@@ -86,8 +85,7 @@ class RieszWeights:
     # never set: no layout stores dense rows; readers of weights
     # (benchmarks/spans.py) test it to pick the layout's byte count
     matrix: np.ndarray | None = None
-    # 2-D: full-cell offset table, from one quarter-cell table
-    # (_quarter_table).
+    # 2-D: full-cell offset table, from one quarter-cell table (_quarter_table).
     # 1-D: generator by column-minus-row offset + N - 1, and the corrections
     # of the first and last columns (half hats minus full hats); 2-D
     # weights leave those empty, because a Dirichlet field has no end terms.
@@ -96,11 +94,11 @@ class RieszWeights:
     edge_y: np.ndarray = field(default_factory=lambda: np.empty(0))
     # never set; read by benchmarks/spans.py
     corners: dict = field(default_factory=dict)
-    # set from offsets, so cache loads carry it too
-    spectrum: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self.spectrum = _spectrum(self.offsets)
+    @functools.cached_property
+    def spectrum(self):
+        """`_spectrum(offsets)`, at the first field `_even_apply` skips."""
+        return _spectrum(self.offsets)
 
     @functools.cached_property
     def even_spectrum(self):
@@ -170,36 +168,15 @@ def _fft_len(n):
     return best
 
 
-def fft_convolve(values, kernel):
-    """Entries N-1 .. 2N-2 along each of the last two axes of the linear
-    convolution of values (N x N there) with kernel (2N-1 x 2N-1): the
-    centered `mode="same"` window, by a real FFT of _fft_len(N) per axis,
-    which no wrapped-around product reaches.  Leading axes broadcast.
-    """
-    n = values.shape[-2]
-    sizes = [_fft_len(n)] * 2
-    spec = np.fft.rfft2(values, sizes) * np.fft.rfft2(kernel, sizes)
-    return np.fft.irfft2(spec, sizes)[..., n - 1:2 * n - 1, n - 1:2 * n - 1]
-
-
-def _spectrum(offsets):
+def _spectrum(table):
     """Spectrum of the operator whose entry (i, j) along each axis is
-    offsets[j - i + N - 1], zero-padded to _fft_len(N) per axis.
-
-    1-D: the real FFT of the flipped generator; flipping turns the row sums
-    into a convolution, and the orientation matters for the odd moment
-    kernel.  The operator's rows are outputs N-1 .. 2N-2.
-    2-D: the table is exactly even, so it is wrapped about index 0 of the
-    periodic L x L grid, where its spectrum is real up to rounding; that
-    zero-phase real array is stored, at half the bytes of a complex one, and
-    the operator's rows are outputs 0 .. N-1.
-    """
-    if offsets.ndim == 1:
-        return np.fft.rfft(np.flip(offsets), _fft_len((len(offsets) + 1) // 2))
-    n = (offsets.shape[0] + 1) // 2
-    pad = _fft_len(n) - offsets.shape[0]
-    wrapped = np.roll(np.pad(offsets, ((0, pad), (0, pad))), (1 - n, 1 - n), (0, 1))
-    return np.fft.rfft2(wrapped).real.copy()
+    table[j - i + N - 1]: the real FFT of the flipped table zero-padded to
+    _fft_len(N) per axis.  Flipping turns the row sums into a convolution,
+    and the orientation matters for the odd moment kernels.  The
+    operator's rows are outputs N-1 .. 2N-2 along each axis."""
+    n = (table.shape[0] + 1) // 2
+    return np.fft.rfftn(np.flip(table), [_fft_len(n)] * table.ndim,
+                        axes=range(table.ndim))
 
 
 def _even_spectrum(offsets):
@@ -249,12 +226,12 @@ def _forward(values, size, n_out):
     return spec, real
 
 
-def _inverse(spec, real):
-    """Rows 0 .. n_out - 1 of the periodic field of the spectrum, into the
-    real work array of `_forward`; the inverse real FFT runs over those
-    rows only."""
+def _inverse(spec, real, first):
+    """Rows first .. first + n_out - 1 of the periodic field of the
+    spectrum, into the real work array of `_forward`; the inverse real FFT
+    runs over those rows only."""
     np.fft.ifft(spec, axis=-2, out=spec)
-    np.fft.irfft(spec[..., :real.shape[-2], :], real.shape[-1], out=real)
+    np.fft.irfft(spec[..., first:first + real.shape[-2], :], real.shape[-1], out=real)
     return real
 
 
@@ -263,13 +240,13 @@ def _fft_apply(spectrum, values):
     of values, so a stack of fields goes in one call; returns a fresh array.
     """
     n = values.shape[-1]
+    size = _fft_len(n)
     if spectrum.ndim == 1:
-        size = _fft_len(n)
         out = np.fft.irfft(np.fft.rfft(values, size) * spectrum, size)
         return out[..., n - 1:2 * n - 1]
-    spec, real = _forward(values, spectrum.shape[0], n)
+    spec, real = _forward(values, size, n)
     spec *= spectrum
-    return _inverse(spec, real)[..., :n].copy()
+    return _inverse(spec, real, n - 1)[..., n - 1:2 * n - 1].copy()
 
 
 def _even_apply(even_spectrum, values):
@@ -306,7 +283,7 @@ def _even_apply(even_spectrum, values):
     np.conjugate(flip, out=flip)
     flip *= near_far
     spec += flip
-    quarter = _inverse(spec, real)[:, :m]
+    quarter = _inverse(spec, real, 0)[:, :m]
     out = np.empty((n, n))
     out[:m, :m] = quarter
     out[:m, m:] = quarter[:, ::-1]
@@ -618,7 +595,7 @@ _CACHE_LOAD_ERRORS = (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFil
 
 
 def _cache_key(domain: DomainSpec, mu):
-    payload = f"{domain.kind.value}|{domain.bounds}|{domain.n_grid}|{mu!r}|v{_CACHE_FORMAT_VERSION}"
+    payload = f"{domain.kind.value}|{domain.bounds}|{domain.n_grid}|{mu!r}"
     return hashlib.sha256(payload.encode()).hexdigest()[:20]
 
 

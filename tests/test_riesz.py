@@ -194,8 +194,9 @@ def test_2d_work_arrays_hold_one_shape():
     full, half = riesz._fft_len(n), riesz._fft_len(n // 2)
     work = {"even": half * (half // 2 + 1) * 16 + n // 2 * half * 8,
             "uneven": full * (full // 2 + 1) * 16 + n * full * 8}
-    # derived at the first even field: done here, outside the traced bytes
-    assert w.even_spectrum is not None
+    # derived at the first even and the first non-even field: done here,
+    # outside the traced bytes
+    assert w.even_spectrum is not None and w.spectrum is not None
     riesz._work.cache_clear()
     tracemalloc.start()
     try:
@@ -208,6 +209,47 @@ def test_2d_work_arrays_hold_one_shape():
     finally:
         tracemalloc.stop()
         riesz._work.cache_clear()
+
+
+def _wrapped_apply(offsets, f):
+    """The full 2-D apply with the table wrapped about index 0 and the real
+    part of its spectrum, outputs 0 .. N-1: the layout the one flipped-table
+    `_spectrum` replaced, kept as its oracle."""
+    n = f.shape[0]
+    size = riesz._fft_len(n)
+    pad = size - (2 * n - 1)
+    wrapped = np.roll(np.pad(offsets, ((0, pad), (0, pad))), (1 - n, 1 - n), (0, 1))
+    spec = np.fft.rfft2(f, (size, size)) * np.fft.rfft2(wrapped).real
+    return np.fft.irfft2(spec, (size, size))[:n, :n]
+
+
+def test_2d_spectrum_derived_at_first_uneven_field(monkeypatch):
+    """An even-grid 2-D solve takes the half-grid apply only, so its weights
+    never derive the full spectrum; the first non-even field derives it
+    once, and the full apply agrees with the wrapped-table oracle."""
+    dom = rectangle(0.0, 1.0, 0.0, 1.0, 48)
+    basis = spectral.build_basis(dom, 256)
+    weights = riesz.build_weights(dom, 1.2)
+    lam1s = float(basis.lambdas[0] ** 0.45)
+    p = make_params(2, 0.45, 1.2, 0.2 * lam1s, Regime.BREZIS_NIRENBERG)
+    rec = solver.solve_bn(p, dom, basis, weights,
+                          solver.SolveOptions(theta=1.0, max_iter=2000))
+    assert rec.converged
+    assert "spectrum" not in vars(weights)
+    derived = []
+
+    def counted(table, _spectrum=riesz._spectrum):
+        derived.append(table.shape)
+        return _spectrum(table)
+
+    monkeypatch.setattr(riesz, "_spectrum", counted)
+    f = rec.grid.values.copy()
+    f[5, 9] *= 1.5
+    for _ in range(2):
+        out = riesz.convolve(weights, GridField(dom, f)).values
+    assert derived == [(95, 95)]
+    scale = np.max(_wrapped_apply(np.abs(weights.offsets), np.abs(f)))
+    assert np.max(np.abs(out - _wrapped_apply(weights.offsets, f))) <= 1e-13 * scale
 
 
 def test_weight_row_mass_1d_large_grid():
@@ -354,6 +396,20 @@ def test_stale_format_cache_rebuilt_and_replaced(tmp_path, version):
         assert np.array_equal(data["offsets"], fresh.offsets)
         assert sorted(data.files) == ["format_version", "offsets"]
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+def test_format_bump_overwrites_file_in_place(tmp_path, monkeypatch):
+    """The file name does not depend on the format version, so a format
+    bump rebuilds into the same path: one file, of the new version."""
+    dom = rectangle(0.0, 1.4, 0.0, 0.9, 16)
+    fresh = riesz.load_or_build_weights(dom, 1.1, directory=str(tmp_path))
+    (path,) = tmp_path.iterdir()
+    monkeypatch.setattr(riesz, "_CACHE_FORMAT_VERSION", riesz._CACHE_FORMAT_VERSION + 1)
+    w = riesz.load_or_build_weights(dom, 1.1, directory=str(tmp_path))
+    assert _same_2d_weights(w, fresh)
+    assert list(tmp_path.iterdir()) == [path]
+    with np.load(path) as data:
+        assert int(data["format_version"][0]) == riesz._CACHE_FORMAT_VERSION
 
 
 @pytest.mark.parametrize("keep", [0, 0.5])
