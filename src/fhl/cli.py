@@ -20,8 +20,8 @@ import time
 import numpy as np
 
 from . import __version__, bubbles, constants, diagnostics, riesz, solver, spectral
-from .errors import (ConfigError, FHLError, MissingRequired, NumericalError,
-                     UnknownKey, ValidationError, WrongType)
+from .errors import (FHLError, MissingRequired, NumericalError, UnknownKey,
+                     ValidationError, WrongType)
 from .grids import GridField, interval, rectangle
 from .model import Regime, make_params
 from .solver import Seed, SolveOptions
@@ -135,7 +135,7 @@ def _solve_setup(cfg, eps):
                          _regime_from_config(cfg))
     domain = _domain_from_config(cfg)
     basis = spectral.build_basis(domain, cfg["modes"])
-    weights = riesz.load_or_build_weights(domain, solver.kernel_exponent(params))
+    weights = riesz.build_weights(domain, solver.kernel_exponent(params))
     opts = SolveOptions(theta=cfg["theta"], max_iter=cfg["max_iter"],
                         residual_tol=cfg["tol"], seed=_seed_from_config(cfg))
     return params, domain, basis, weights, opts
@@ -472,18 +472,11 @@ def run_command(argv):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, ValidationError) as exc:
+    except (ValidationError, NumericalError, OSError) as exc:
+        # config errors are ValidationErrors, and exit 1 with them
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 1
-    except NumericalError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 2
-    except OSError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 1
+        return 2 if isinstance(exc, NumericalError) else 1
 
 
 def main():

@@ -229,8 +229,10 @@ def symmetrization_check(f: GridField, mu, weights):
     lhsA = INT INT x.(x-t) |x-t|^{-(mu+2)} f(t) f(x) dt dx
     lhsB = (1/2) INT INT |x-t|^{-mu} f(t) f(x) dt dx
     computed by independent quadratures; residual |lhsA/lhsB - 1|.
-    A 2-D f must vanish on the boundary, as `riesz.convolve` requires.
+    A 2-D f must vanish on the boundary, as `riesz.convolve` requires;
+    the weights must be for the kernel |x|^{-mu}.
     """
+    solver.check_kernel(weights, mu)
     if np.any(f.values < 0.0):
         raise OutOfRange("symmetrization_check expects f >= 0")
     dom = f.domain
@@ -299,6 +301,7 @@ def pohozaev_balance(record: SolutionRecord, params: Params, basis, weights, r):
     replaced by these computable majorants; the returned gap is
     interior / max(sum, floor).
     """
+    solver.check_kernel(weights, solver.kernel_exponent(params))
     dom = record.grid.domain
     n, s = params.n, params.s
     p = solver._problem_terms(params)[0]

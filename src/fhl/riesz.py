@@ -31,8 +31,8 @@ every other field takes the full apply, which is its oracle.
 Documented accuracy is O(h) near the singularity, which is what the
 desk-scale solver configurations need.
 
-The 2-D apply writes into work arrays kept for its last transform shape,
-so `convolve` on a 2-D grid is not reentrant across threads.
+The module holds no state outside `RieszWeights`: each apply allocates
+its own transform arrays, so `convolve` is reentrant across threads.
 
 Radial free-space integrals over [0, inf) all go through
 `half_line_integral`: one tail map, one decay guard and one error check.
@@ -46,13 +46,10 @@ quadratures that call it, so no solve loads SciPy.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import math
 import os
-import tempfile
 import warnings
-import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,36 +196,25 @@ def _even_spectrum(offsets):
     return np.stack(spectra)
 
 
-@functools.lru_cache(maxsize=1)
-def _work(spec_shape, real_shape):
-    """Work arrays of the 2-D transforms, reused while the transform shape
-    stays the same: fresh FFT temporaries of this size come back from the
-    allocator as new pages on every call.  Only the last shape is kept, so
-    what stays resident is one apply's temporaries."""
-    return np.zeros(spec_shape, dtype=complex), np.empty(real_shape)
-
-
 def _forward(values, size, n_out):
     """The spectrum of values zero-padded to L x L (L = size) over the last
-    two axes, in the work arrays, and the work array of n_out real output
-    rows for `_inverse`; valid until the next 2-D transform.
+    two axes, and a fresh array of n_out real output rows for `_inverse`.
 
     The transform is pruned: the real FFT along the last axis runs over the
     input rows only (the padding rows are zeroed), and the FFT along the
     other axis runs in place.
     """
     n = values.shape[-2]
-    spec, real = _work(values.shape[:-2] + (size, size // 2 + 1),
-                       values.shape[:-2] + (n_out, size))
+    spec = np.empty(values.shape[:-2] + (size, size // 2 + 1), dtype=complex)
     np.fft.rfft(values, size, out=spec[..., :n, :])
     spec[..., n:, :] = 0.0
     np.fft.fft(spec, axis=-2, out=spec)
-    return spec, real
+    return spec, np.empty(values.shape[:-2] + (n_out, size))
 
 
 def _inverse(spec, real, first):
     """Rows first .. first + n_out - 1 of the periodic field of the
-    spectrum, into the real work array of `_forward`; the inverse real FFT
+    spectrum, into the real output array of `_forward`; the inverse real FFT
     runs over those rows only."""
     np.fft.ifft(spec, axis=-2, out=spec)
     np.fft.irfft(spec[..., first:first + real.shape[-2], :], real.shape[-1], out=real)
@@ -246,6 +232,7 @@ def _fft_apply(spectrum, values):
         return out[..., n - 1:2 * n - 1]
     spec, real = _forward(values, size, n)
     spec *= spectrum
+    # a copy, so the output does not pin the (N, L) rows
     return _inverse(spec, real, n - 1)[..., n - 1:2 * n - 1].copy()
 
 
@@ -586,54 +573,16 @@ def moment_apply(domain: DomainSpec, mu, values):
 
 
 # --------------------------------------------------------------------------
-# weights cache for 2-D tables (binary sidecar, format-versioned)
+# names that benchmarks/ calls
 # --------------------------------------------------------------------------
 
-_CACHE_FORMAT_VERSION = 4
-# what np.load raises on a missing, truncated, empty or foreign file
-_CACHE_LOAD_ERRORS = (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile)
-
-
-def _cache_key(domain: DomainSpec, mu):
-    payload = f"{domain.kind.value}|{domain.bounds}|{domain.n_grid}|{mu!r}"
-    return hashlib.sha256(payload.encode()).hexdigest()[:20]
-
-
 def cache_dir():
+    """Kept for benchmarks/; goes with ROADMAP item 1."""
     return os.environ.get("FHL_CACHE_DIR",
                           os.path.join(os.path.expanduser("~"), ".cache", "fhl"))
 
 
 def load_or_build_weights(domain: DomainSpec, mu, directory=None) -> RieszWeights:
-    """build_weights with a binary sidecar cache keyed by (domain, mu, N).
-
-    Only 2-D tables are cached: 1-D weights are O(N) to build.  A file that
-    cannot be read or has another format version is rebuilt and
-    overwritten; files are written under a temporary name and moved into
-    place, so a reader never sees a partial file.
-    """
-    if domain.dim == 1:
-        return build_weights(domain, mu)
-    directory = directory or cache_dir()
-    path = os.path.join(directory, f"fhlw_{_cache_key(domain, mu)}.npz")
-    if os.path.exists(path):
-        try:
-            # the handle is ours, so a file np.load rejects is closed too
-            with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
-                if int(data["format_version"][0]) == _CACHE_FORMAT_VERSION:
-                    return RieszWeights(mu=float(mu), domain=domain,
-                                        offsets=data["offsets"])
-        except _CACHE_LOAD_ERRORS:
-            pass  # damaged: rebuilt and overwritten below
-    w = build_weights(domain, mu)
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fhlw_", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, format_version=np.array([_CACHE_FORMAT_VERSION]),
-                     offsets=w.offsets)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return w
+    """`build_weights`; directory is not read.  Kept for benchmarks/; goes
+    with ROADMAP item 1."""
+    return build_weights(domain, mu)

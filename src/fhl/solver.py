@@ -136,6 +136,12 @@ def kernel_exponent(params: Params):
     return _problem_terms(params)[1]
 
 
+def check_kernel(weights: RieszWeights, mu):
+    """Raise OutOfRange unless the weights are for the kernel |x|^{-mu}."""
+    if abs(weights.mu - mu) > 1e-12:
+        raise OutOfRange(f"weights built for mu = {weights.mu}, equation needs {mu}")
+
+
 def _relative_defect(a, denom, b):
     """||a denom - b|| / ||b||, the relative defect of the Galerkin equation
     in coefficients; 0 when both vanish, inf when only b does."""
@@ -284,8 +290,7 @@ def _solve(params: Params, domain: DomainSpec, basis: EigenBasis,
     """The solve body of both regimes, after their own parameter checks."""
     opts = opts or SolveOptions()
     p, mu, shift = _problem_terms(params)
-    if abs(weights.mu - mu) > 1e-12:
-        raise OutOfRange(f"weights built for mu = {weights.mu}, equation needs {mu}")
+    check_kernel(weights, mu)
     denom = basis.lambdas ** params.s - shift
     vals, coeffs, res, it = _solve_fixed_point(params, domain, basis, weights,
                                                opts, p, denom)

@@ -8,6 +8,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fhl import riesz
@@ -36,20 +37,26 @@ def test_every_traced_entry_point_resolves(spans):
     assert missing == []
 
 
-def test_weight_byte_counts_accept_every_layout(spans, tmp_path):
-    """`apply_bytes` and `_array_bytes` read 1-D weights, 2-D weights and a
-    2-D cache load; a 2-D apply reads the offset table alone."""
+def test_cache_names_build_and_write_nothing(tmp_path):
+    """`load_or_build_weights` and `cache_dir` stay for the traced run's
+    cache span: the first builds the weights and writes nothing."""
     square = rectangle(0.0, 1.4, 0.0, 0.9, 16)
-    built = riesz.build_weights(square, 1.1)
-    riesz.load_or_build_weights(square, 1.1, directory=str(tmp_path))
     loaded = riesz.load_or_build_weights(square, 1.1, directory=str(tmp_path))
+    assert np.array_equal(loaded.offsets, riesz.build_weights(square, 1.1).offsets)
+    assert list(tmp_path.iterdir()) == []
+    assert callable(riesz.cache_dir)
+
+
+def test_weight_byte_counts_accept_every_layout(spans):
+    """`apply_bytes` and `_array_bytes` read 1-D and 2-D weights; a 2-D
+    apply reads the offset table alone."""
+    square = riesz.build_weights(rectangle(0.0, 1.4, 0.0, 0.9, 16), 1.1)
     line = riesz.build_weights(interval(0.0, 1.0, 64), 0.4)
-    for w in (built, loaded, line):
+    for w in (square, line):
         # the spectrum is derived at the first non-even field: derive it
         # before counting, so the count holds it
         spectrum = w.spectrum
         assert spans._array_bytes(w) >= w.offsets.nbytes + spectrum.nbytes
-    for w in (built, loaded):
-        assert spans.apply_bytes(w) == w.offsets.nbytes
+    assert spans.apply_bytes(square) == square.offsets.nbytes
     assert spans.apply_bytes(line) == (line.offsets.nbytes + 2 * line.edge_x.nbytes
                                        + 2 * line.edge_y.nbytes)

@@ -93,8 +93,7 @@ def test_bubble_quotient(capsys):
     assert abs(q - 1.16245) < 1e-4
 
 
-def test_solve_and_archive(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FHL_CACHE_DIR", str(tmp_path / "cache"))
+def test_solve_and_archive(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(GOOD + "\nmax_iter=2000\n")
     rc = run_command(["solve", "--config", str(cfg_path),
@@ -105,10 +104,9 @@ def test_solve_and_archive(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "out" / "solution.csv").exists()
 
 
-def test_continuation_deterministic_replay(tmp_path, monkeypatch):
+def test_continuation_deterministic_replay(tmp_path):
     """Criterion-12 style replay on a small config: identical report.json
     apart from the wall-time field."""
-    monkeypatch.setenv("FHL_CACHE_DIR", str(tmp_path / "cache"))
     cfg_path = tmp_path / "sweep.cfg"
     cfg_path.write_text(GOOD + "\nmax_iter=3000\n")
     outs = []
@@ -126,8 +124,7 @@ def test_continuation_deterministic_replay(tmp_path, monkeypatch):
                       "rate_lhs,boundary_sup,interior_L1")
 
 
-def test_report_emission(tmp_path, monkeypatch):
-    monkeypatch.setenv("FHL_CACHE_DIR", str(tmp_path / "cache"))
+def test_report_emission(tmp_path):
     cfg_path = tmp_path / "sweep.cfg"
     cfg_path.write_text(GOOD)
     run_command(["continuation", "--config", str(cfg_path),
@@ -142,8 +139,7 @@ def test_report_emission(tmp_path, monkeypatch):
         assert svg.startswith("<svg") and "polyline" in svg
 
 
-def test_solve_rectangle_csv(tmp_path, monkeypatch):
-    monkeypatch.setenv("FHL_CACHE_DIR", str(tmp_path / "cache"))
+def test_solve_rectangle_csv(tmp_path):
     cfg_path = tmp_path / "rect.cfg"
     cfg_path.write_text("regime=subcritical\nn=2\ns=0.45\nmu=1.1\neps=0.2\n"
                         "domain.kind=rectangle\ndomain.bx=1.4\ndomain.by=0.9\n"
@@ -182,10 +178,8 @@ def test_solution_csv_matches_csv_writer(tmp_path, dom):
     ("", ["continuation", "--eps", "0.4,x"], "--eps"),
     ("eps_list=0.4,x\n", ["continuation"], "'eps_list'"),
 ], ids=["seed", "eps-flag", "eps_list-key"])
-def test_malformed_number_is_typed_error(tmp_path, monkeypatch, capsys,
-                                         extra, argv_tail, key):
+def test_malformed_number_is_typed_error(tmp_path, capsys, extra, argv_tail, key):
     """A number that does not parse exits 1 with one JSON line naming the key."""
-    monkeypatch.setenv("FHL_CACHE_DIR", str(tmp_path / "cache"))
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(GOOD + extra)
     argv = [argv_tail[0], "--config", str(cfg_path), *argv_tail[1:],
@@ -199,10 +193,9 @@ def test_malformed_number_is_typed_error(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "out").exists()
 
 
-def test_solve_without_eps_is_typed_error(tmp_path, monkeypatch, capsys):
+def test_solve_without_eps_is_typed_error(tmp_path, capsys):
     """solve needs eps; without it the command exits 1 with one JSON line
     naming the key, as continuation does for its eps list."""
-    monkeypatch.setenv("FHL_CACHE_DIR", str(tmp_path / "cache"))
     cfg_path = tmp_path / "no_eps.cfg"
     cfg_path.write_text(GOOD.replace("eps=0.1\n", ""))
     assert run_command(["solve", "--config", str(cfg_path),

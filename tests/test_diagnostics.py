@@ -198,6 +198,15 @@ def test_symmetrization_rejects_negative():
             GridField(dom, -np.ones(64)), 0.4, w)
 
 
+def test_symmetrization_rejects_other_kernel():
+    """Weights for mu = 0.4 at mu = 0.6 gave residual 1.06 with no error."""
+    dom = interval(0.0, 1.0, 513)
+    w = riesz.build_weights(dom, 0.4)
+    f = GridField(dom, _hat(dom.axes()[0]))
+    with pytest.raises(OutOfRange, match="weights built for mu = 0.4"):
+        diagnostics.symmetrization_check(f, 0.6, w)
+
+
 # --------------------------------------------------------------------------
 # pohozaev
 # --------------------------------------------------------------------------
@@ -392,3 +401,13 @@ def test_sweep_pohozaev_balance_stable(sweep1d):
     assert all(g > 0.0 for g in gaps)
     mid = sorted(gaps)[len(gaps) // 2]
     assert all(abs(g / mid - 1.0) < 0.2 for g in gaps)
+
+
+def test_pohozaev_balance_rejects_other_kernel(sweep1d):
+    """The sweep's weights are for |x|^-(n-2s); another s needs others."""
+    report, _, weights = sweep1d
+    rec = report.records[-1]
+    p = make_params(report.params.n, report.params.s + 0.01,
+                    report.params.mu - 0.02, rec.eps, Regime.SUBCRITICAL_HARTREE)
+    with pytest.raises(OutOfRange, match="weights built for mu"):
+        diagnostics.pohozaev_balance(rec, p, None, weights, r=0.2)

@@ -345,8 +345,8 @@ def test_1d_applies_bit_identical_to_scipy(n):
 
 
 def test_interleaved_2d_applies_match_fftconvolve():
-    """The 2-D work arrays leak nothing between grids, weights, stack shapes
-    or repeated applies of one shape, and no result is a view of them."""
+    """2-D applies leak nothing between grids, weights, stack shapes or
+    repeated applies of one shape, and no result shares memory with another."""
     small, large = rectangle(0.0, 1.0, 0.0, 1.0, 24), rectangle(0.0, 1.4, 0.0, 0.9, 37)
     weights = [riesz.build_weights(small, 0.7), riesz.build_weights(large, 1.1),
                riesz.build_weights(large, 1.6)]
@@ -355,7 +355,7 @@ def test_interleaved_2d_applies_match_fftconvolve():
     for _ in range(3):
         for w in weights:
             n = w.domain.n_grid
-            # two single fields in a row reuse the work arrays
+            # two single fields in a row, then a stack
             fields = (rng.normal(size=(n, n)), rng.normal(size=(n, n)),
                       rng.normal(size=(2, n, n)))
             for f in fields:

@@ -49,7 +49,8 @@ max_iter=2000
 
 
 def _loaded(code, tmp_path):
-    env = dict(os.environ, FHL_CACHE_DIR=str(tmp_path / "cache"),
+    # HOME in tmp_path too, so a write to a default under HOME shows there
+    env = dict(os.environ, HOME=str(tmp_path),
                PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code + _REPORT], env=env,
                          cwd=tmp_path, capture_output=True, text=True, timeout=300,
@@ -71,14 +72,15 @@ def test_1d_continuation_loads_no_unused_scipy(tmp_path):
 
 
 def test_2d_solve_loads_no_scipy(tmp_path):
-    """A rectangle solve builds and caches its 2-D weights."""
+    """A rectangle solve builds its 2-D weights and writes nothing outside
+    its output directory."""
     (tmp_path / "rect.cfg").write_text(RECT_CONFIG)
     code = ("from fhl import cli\n"
             "assert cli.run_command(['solve', '--config', 'rect.cfg',"
             " '--out', 'run']) == 0\n")
     assert _loaded(code, tmp_path) == []
     assert (tmp_path / "run" / "solution.csv").exists()
-    assert os.listdir(tmp_path / "cache")
+    assert sorted(os.listdir(tmp_path)) == ["rect.cfg", "run"]
 
 
 def test_first_quadrature_loads_integrate(tmp_path):

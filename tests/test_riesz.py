@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -179,9 +181,9 @@ def test_2d_cap():
         riesz.build_weights(rectangle(0, 1, 0, 1, 1024), 1.1)
 
 
-def test_2d_work_arrays_hold_one_shape():
-    """Even and non-even applies in turn at N = 512 keep one transform
-    shape's work arrays live, not the half grid's and the full grid's both."""
+def test_2d_apply_leaves_nothing_live():
+    """Even and non-even applies at N = 512 keep no transform arrays once
+    their outputs are dropped: each apply allocates its own."""
     n = 512
     offs = np.arange(-(n - 1), n) ** 2.0
     # an exactly even table, so no quadrature is needed to build weights
@@ -190,25 +192,47 @@ def test_2d_work_arrays_hold_one_shape():
     even = np.ones((n, n))
     uneven = even.copy()
     uneven[1, 2] = 2.0
-    # complex spectrum rows plus real output rows, per transform shape
-    full, half = riesz._fft_len(n), riesz._fft_len(n // 2)
-    work = {"even": half * (half // 2 + 1) * 16 + n // 2 * half * 8,
-            "uneven": full * (full // 2 + 1) * 16 + n * full * 8}
     # derived at the first even and the first non-even field: done here,
     # outside the traced bytes
     assert w.even_spectrum is not None and w.spectrum is not None
-    riesz._work.cache_clear()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         for _ in range(2):
             for kind, vals in (("even", even), ("uneven", uneven)):
                 riesz._table_apply(w, vals)
-                live = tracemalloc.get_traced_memory()[0] - base
-                assert work[kind] <= live < work[kind] + (1 << 20), kind
+                assert tracemalloc.get_traced_memory()[0] - base < 1 << 16, kind
     finally:
         tracemalloc.stop()
-        riesz._work.cache_clear()
+
+
+def test_2d_apply_reentrant():
+    """Four threads applying one set of weights to four fields, two exactly
+    even and two not, get the serial results bit for bit."""
+    dom = rectangle(0.0, 1.4, 0.0, 0.9, 96)
+    w = riesz.build_weights(dom, 1.1)
+    i = np.arange(96)
+    a = np.minimum(i, 95 - i) / 48.0   # exactly even, 0 on the boundary
+    rng = np.random.default_rng(7)
+    noise = np.zeros((2, 96, 96))
+    noise[:, 1:-1, 1:-1] = rng.random((2, 94, 94))
+    fields = [np.outer(a, a), np.outer(a ** 2, a) + np.outer(a, a ** 3),
+              *noise]
+    serial = [riesz._convolve(w, f) for f in fields]
+
+    def worker(t):
+        return [np.array_equal(riesz._convolve(w, fields[k % 4]), serial[k % 4])
+                for k in range(t, t + 200)]
+
+    interval_s = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(worker, t) for t in range(4)]
+            same = [ok for fut in futures for ok in fut.result(timeout=120)]
+    finally:
+        sys.setswitchinterval(interval_s)
+    assert len(same) == 800 and all(same), same.count(False)
 
 
 def _wrapped_apply(offsets, f):
@@ -345,90 +369,3 @@ def test_half_line_integral_closed_forms(breaks):
                / (0.5 * math.pi) - 1.0) < 1e-12
     assert abs(riesz.half_line_integral(lambda r: r ** -0.5 / (1.0 + r), breaks)
                / math.pi - 1.0) < 1e-10
-
-
-def _same_2d_weights(w1, w2):
-    return np.array_equal(w1.offsets, w2.offsets)
-
-
-def test_cache_round_trip(tmp_path):
-    dom = rectangle(0.0, 1.4, 0.0, 0.9, 16)
-    w1 = riesz.load_or_build_weights(dom, 1.1, directory=str(tmp_path))
-    w2 = riesz.load_or_build_weights(dom, 1.1, directory=str(tmp_path))
-    assert _same_2d_weights(w1, w2)
-    files = list(tmp_path.glob("fhlw_*.npz"))
-    assert len(files) == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == [files[0].name]
-    with np.load(files[0]) as data:
-        assert sorted(data.files) == ["format_version", "offsets"]
-
-
-def test_cache_skips_1d(tmp_path):
-    dom = interval(0.0, 1.0, 64)
-    w = riesz.load_or_build_weights(dom, 0.4, directory=str(tmp_path))
-    assert w.matrix is None and w.offsets.shape == (127,)
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("version", [2, 3])
-def test_stale_format_cache_rebuilt_and_replaced(tmp_path, version):
-    """A file of another format version is never served: it is rebuilt and
-    replaced by a file of the current version.  Version 3 is the layout
-    with the strip tables and corner fields."""
-    dom = rectangle(0.0, 1.4, 0.0, 0.9, 16)
-    fresh = riesz.load_or_build_weights(dom, 1.1, directory=str(tmp_path))
-    (path,) = tmp_path.glob("fhlw_*.npz")
-    with np.load(path) as data:
-        stale = {k: data[k] for k in data.files}
-    stale["format_version"] = np.array([version])
-    stale["offsets"] = 2.0 * stale["offsets"]
-    if version == 3:
-        # the strip tables and corner fields that format 3 held
-        n = dom.n_grid
-        stale["edge_x"] = stale["edge_y"] = np.ones((2 * n - 1, n))
-        stale.update({f"corner_{i}_{j}": np.ones((n, n))
-                      for i in (0, n - 1) for j in (0, n - 1)})
-    np.savez(path, **stale)
-    w = riesz.load_or_build_weights(dom, 1.1, directory=str(tmp_path))
-    assert _same_2d_weights(w, fresh)
-    with np.load(path) as data:
-        assert int(data["format_version"][0]) == riesz._CACHE_FORMAT_VERSION
-        assert np.array_equal(data["offsets"], fresh.offsets)
-        assert sorted(data.files) == ["format_version", "offsets"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
-
-
-def test_format_bump_overwrites_file_in_place(tmp_path, monkeypatch):
-    """The file name does not depend on the format version, so a format
-    bump rebuilds into the same path: one file, of the new version."""
-    dom = rectangle(0.0, 1.4, 0.0, 0.9, 16)
-    fresh = riesz.load_or_build_weights(dom, 1.1, directory=str(tmp_path))
-    (path,) = tmp_path.iterdir()
-    monkeypatch.setattr(riesz, "_CACHE_FORMAT_VERSION", riesz._CACHE_FORMAT_VERSION + 1)
-    w = riesz.load_or_build_weights(dom, 1.1, directory=str(tmp_path))
-    assert _same_2d_weights(w, fresh)
-    assert list(tmp_path.iterdir()) == [path]
-    with np.load(path) as data:
-        assert int(data["format_version"][0]) == riesz._CACHE_FORMAT_VERSION
-
-
-@pytest.mark.parametrize("keep", [0, 0.5])
-def test_damaged_cache_rebuilt_and_replaced(tmp_path, monkeypatch, keep):
-    """A truncated (or empty) cache file is rebuilt, and the rebuild
-    overwrites it with a complete file that later loads serve."""
-    dom = rectangle(0.0, 1.4, 0.0, 0.9, 16)
-    fresh = riesz.load_or_build_weights(dom, 1.1, directory=str(tmp_path))
-    (path,) = tmp_path.glob("fhlw_*.npz")
-    size = path.stat().st_size
-    path.write_bytes(path.read_bytes()[:int(keep * size)])
-    w = riesz.load_or_build_weights(dom, 1.1, directory=str(tmp_path))
-    assert _same_2d_weights(w, fresh)
-    assert path.stat().st_size == size
-    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
-
-    def no_build(*args):
-        raise AssertionError("the replaced file should have been loaded")
-
-    monkeypatch.setattr(riesz, "build_weights", no_build)
-    again = riesz.load_or_build_weights(dom, 1.1, directory=str(tmp_path))
-    assert _same_2d_weights(again, fresh)

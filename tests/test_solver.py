@@ -297,7 +297,7 @@ def counted_solves(monkeypatch):
 
 @pytest.mark.parametrize("regime", list(_ROUTES), ids=lambda r: r.value)
 def test_every_solve_routes_through_regime_entry(regime, counted_solves,
-                                                 tmp_path, monkeypatch):
+                                                 tmp_path):
     """solver.solve, diagnostics.continuation and `fhl solve` each reach
     the regime's entry point through the module attribute."""
     from fhl import cli, diagnostics
@@ -316,7 +316,6 @@ def test_every_solve_routes_through_regime_entry(regime, counted_solves,
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"regime={regime.value}\nn={n}\ns={s}\nmu={mu}\neps={eps}\n"
                    "domain.kind=interval\ngrid=128\nmodes=32\ntheta=1.0\n")
-    monkeypatch.setenv("FHL_CACHE_DIR", str(tmp_path / "cache"))
     assert cli.run_command(["solve", "--config", str(cfg),
                             "--out", str(tmp_path / "out")]) == 0
     assert counted_solves == [name] * 3
