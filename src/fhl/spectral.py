@@ -408,22 +408,25 @@ def _green_from(basis: EigenBasis, s, p):
             return _green_interval(basis, s, p[0], q[0])
         return at
     coef = basis._green_arrays(s)
-    axes = list(zip(coef.shape[1:], basis.domain.ranges(), basis.domain.sides))
 
-    def sines(point):
-        return [math.sqrt(2.0 / length) * np.sin(
-            np.arange(1, k_top + 1) * math.pi * (x - lo) / length)
-            for (k_top, (lo, _), length), x in zip(axes, point)]
+    def sines(axis, x):
+        return _box_sines(basis.domain, axis, coef.shape[1 + axis], x)
 
-    sx_p, sy_p = sines(p)
-    mp = coef * sx_p[:, None] * sy_p
+    mp = coef * sines(0, p[0])[:, None] * sines(1, p[1])
 
     def at(q):
         _require_interior(basis.domain, q)
-        sx_q, sy_q = sines(q)
-        v8, v16 = ((mp @ sy_q) @ sx_q).tolist()
+        v8, v16 = ((mp @ sines(1, q[1])) @ sines(0, q[0])).tolist()
         return v8, abs(v8 - v16)
     return at
+
+
+def _box_sines(domain: DomainSpec, axis, k_top, x):
+    """sqrt(2/L) sin(k pi (x - lo)/L) along axis, k = 1 .. k_top, at the
+    coordinates x; shape x.shape + (k_top,)."""
+    (lo, _), length = domain.ranges()[axis], domain.sides[axis]
+    return math.sqrt(2.0 / length) * np.sin(
+        (np.asarray(x)[..., None] - lo) * (np.arange(1, k_top + 1) * math.pi) / length)
 
 
 def _as_point(x, dim):
@@ -470,20 +473,14 @@ def resolution_floor(basis: EigenBasis):
     return _FLOOR_C / math.sqrt(basis.lambdas[-1])
 
 
-def robin_detail(basis: EigenBasis, s, x, delta0=None):
-    """(value, extrapolation spread, offsets) of the Robin function at x.
-
-    H(x, y) = gamma_ns |x-y|^{-(n-2s)} - G(x, y) is evaluated at symmetric
-    offsets delta, delta/2, delta/4 along each axis (odd terms cancel in
-    the average) and Richardson-extrapolated on the even powers.
-    """
-    dim = basis.dim
-    p = _as_point(x, dim)
+def _robin_offsets(basis: EigenBasis, s, p, delta0):
+    """The Richardson offsets d0, d0/2, d0/4 of robin at the point p: d0 is
+    clipped to 0.9 of p's distance to the boundary, and the levels below
+    the resolution floor are dropped."""
     _require_interior(basis.domain, p)
-    n = dim
+    n = basis.dim
     if not 0.0 < n - 2.0 * s < n:
         raise OutOfRange(f"robin requires 0 < n - 2s < n, got n = {n}, s = {s}")
-    gam = constants.gamma_ns(n, s)
     floor = resolution_floor(basis)
     dist = min(min(x - lo, hi - x) for (lo, hi), x in zip(basis.domain.ranges(), p))
     d0 = delta0 if delta0 is not None else max(
@@ -497,32 +494,85 @@ def robin_detail(basis: EigenBasis, s, x, delta0=None):
         levels = 2 if d0 / 2.0 >= floor else 1
     else:
         levels = 3
+    return [d0 / 2 ** j for j in range(levels)]
 
-    green_p = _green_from(basis, s, p)
 
-    def averaged(d):
-        vals = []
-        for axis in range(dim):
-            for sign in (+1.0, -1.0):
-                q = list(p)
-                q[axis] += sign * d
-                vals.append(gam * d ** (-(n - 2.0 * s)) - green_p(tuple(q))[0])
-        return float(np.mean(vals))
-
-    deltas = [d0 / 2 ** j for j in range(levels)]
-    e_vals = [averaged(d) for d in deltas]
-    if levels == 1:
-        return e_vals[0], float("nan"), tuple(deltas)
+def _richardson(e_vals):
+    """(value, spread) of the Richardson extrapolation on the even powers
+    of the offset means e_vals, one per level of _robin_offsets."""
+    if len(e_vals) == 1:
+        return e_vals[0], float("nan")
     r1 = (4.0 * e_vals[1] - e_vals[0]) / 3.0
-    if levels == 2:
-        return r1, abs(e_vals[1] - e_vals[0]), tuple(deltas)
+    if len(e_vals) == 2:
+        return r1, abs(e_vals[1] - e_vals[0])
     r2 = (4.0 * e_vals[2] - e_vals[1]) / 3.0
     val = (16.0 * r2 - r1) / 15.0
     spread = abs(r2 - r1)
     if spread > max(0.05 * abs(val), 1e-9):
         raise ExtrapolationDiverged(
             f"Richardson levels differ by {spread:.3e} for robin value {val:.6e}")
-    return val, spread, tuple(deltas)
+    return val, spread
+
+
+def robin_detail(basis: EigenBasis, s, x, delta0=None):
+    """(value, extrapolation spread, offsets) of the Robin function at x.
+
+    H(x, y) = gamma_ns |x-y|^{-(n-2s)} - G(x, y) is evaluated at symmetric
+    offsets delta, delta/2, delta/4 along each axis (odd terms cancel in
+    the average) and Richardson-extrapolated on the even powers.
+    """
+    n = basis.dim
+    p = _as_point(x, n)
+    deltas = _robin_offsets(basis, s, p, delta0)
+    gam = constants.gamma_ns(n, s)
+    green_p = _green_from(basis, s, p)
+
+    def averaged(d):
+        vals = []
+        for axis in range(n):
+            for sign in (+1.0, -1.0):
+                q = list(p)
+                q[axis] += sign * d
+                vals.append(gam * d ** (-(n - 2.0 * s)) - green_p(tuple(q))[0])
+        return float(np.mean(vals))
+
+    return _richardson([averaged(d) for d in deltas]) + (tuple(deltas),)
+
+
+def _robin_landscape(basis: EigenBasis, s, axes, delta0):
+    """robin at every node of the rectangle grid axes[0] x axes[1], in node
+    order, with one contraction per offset for all the nodes at once.
+
+    With C the first mollifier level of the Green box, an x offset of the
+    node p is G(p, p + d e_1) = sum_kx sx(p1) sx(p1 + d) (C sy(p2)^2)_kx:
+    C is contracted with the squared y sines of every node once, and each
+    offset then takes one elementwise product and sum with its shifted
+    sines; the y offsets likewise with C^T and the x sines.  Each node
+    keeps its own offsets, levels and typed errors, and every node is
+    checked before any is summed.  Per-node `robin` is the oracle.
+    """
+    points = [_as_point(pt, 2) for pt in itertools.product(*axes)]
+    deltas = [_robin_offsets(basis, s, p, delta0) for p in points]
+    c = basis._green_arrays(s)[0]
+    px, py = np.array(points).T
+    d = np.array([dl[0] for dl in deltas])[:, None] / [1.0, 2.0, 4.0]
+    step = np.stack([d, -d], axis=-1).reshape(len(points), 6)
+
+    def sines(axis, x):
+        # one row per distinct coordinate, which the nodes share and, unless
+        # d0 is clipped, their offsets too; shape x.shape + (k_max,)
+        vals, inv = np.unique(x, return_inverse=True)
+        return _box_sines(basis.domain, axis, c.shape[axis], vals)[inv.reshape(x.shape)]
+
+    sx, sy = sines(0, px), sines(1, py)
+    green = [np.einsum("pk,pok->po", sx * (sy ** 2 @ c.T), sines(0, px[:, None] + step)),
+             np.einsum("pk,pok->po", sy * (sx ** 2 @ c), sines(1, py[:, None] + step))]
+    # (node, level, the offsets x+, x-, y+, y-)
+    green = np.concatenate([g.reshape(-1, 3, 2) for g in green], axis=-1)
+    e_vals = np.mean(constants.gamma_ns(2, s) * d[..., None] ** (2.0 * s - 2.0)
+                     - green, axis=-1)
+    return np.array([_richardson(e[:len(dl)].tolist())[0]
+                     for e, dl in zip(e_vals, deltas)])
 
 
 def robin(basis: EigenBasis, s, x, delta0=None):
@@ -531,7 +581,7 @@ def robin(basis: EigenBasis, s, x, delta0=None):
 
 def critical_points_from_values(grids_axes, phi_values):
     """Grid points where the centered-difference gradient changes sign in
-    every axis; ties broken by smallest gradient magnitude."""
+    every axis, by increasing gradient magnitude."""
     axes = [np.asarray(x) for x in grids_axes]
     phi = np.asarray(phi_values)
     grads = [np.gradient(phi, x, axis=d) for d, x in enumerate(axes)]
@@ -547,7 +597,12 @@ def critical_points_from_values(grids_axes, phi_values):
     if len(idx[0]) == 0:
         raise NoCriticalPoint("gradient has no sign change on the grid")
     mag = sum(np.abs(g[idx]) for g in grads)
+    # magnitudes within 1e-12 relative of the next smaller one tie, and ties
+    # go in node order: mirror-symmetric nodes differ only by rounding
     order = np.argsort(mag, kind="stable")
+    ties = np.cumsum(np.diff(mag[order], prepend=mag[order[0]])
+                     > 1e-12 * mag[order])
+    order = order[np.lexsort((order, ties))]
     return [tuple(float(x[i]) for x, i in zip(axes, node))
             for node in zip(*(i[order] for i in idx))]
 
@@ -558,5 +613,8 @@ def robin_critical_points(basis: EigenBasis, s, grid_axes, delta0=None):
     grid_axes: per-axis arrays of interior evaluation points.
     """
     axes = [np.asarray(x) for x in grid_axes]
-    phi = np.array([robin(basis, s, pt, delta0) for pt in itertools.product(*axes)])
+    if basis.dim == 1:
+        phi = np.array([robin(basis, s, pt, delta0) for pt in itertools.product(*axes)])
+    else:
+        phi = _robin_landscape(basis, s, axes, delta0)
     return critical_points_from_values(axes, phi.reshape([len(x) for x in axes]))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -184,6 +185,27 @@ def test_critical_points_symmetric_rectangle():
     assert math.hypot(pts[0][0] - 0.5, pts[0][1] - 0.5) <= math.hypot(h, h) + 1e-12
 
 
+def test_critical_points_mirror_ties_in_node_order():
+    # a landscape mirror-symmetric in both axes: the four nodes next to the
+    # centre have gradient magnitude 2; moving phi(5, 2) down by one ulp
+    # makes (4, 2)'s magnitude the smallest of them by rounding, and the
+    # order stays the node order; a real difference still sorts first
+    xs, ys = np.arange(7.0), np.arange(5.0)
+    phi = (np.array([9.0, 4.0, 1.0, 0.0, 1.0, 4.0, 9.0])[:, None]
+           + np.array([4.0, 1.0, 0.0, 1.0, 4.0]))
+    nudged = phi.copy()
+    nudged[5, 2] = np.nextafter(nudged[5, 2], 0.0)
+    assert abs(np.gradient(nudged, xs, axis=0)[4, 2]) < 2.0
+    ring = [(2.0, 2.0), (3.0, 1.0), (3.0, 3.0), (4.0, 2.0)]
+    for values in (phi, nudged):
+        pts = spectral.critical_points_from_values((xs, ys), values)
+        assert pts[:5] == [(3.0, 2.0)] + ring
+    moved = phi.copy()
+    moved[5, 2] -= 1e-6
+    pts = spectral.critical_points_from_values((xs, ys), moved)
+    assert pts[:5] == [(3.0, 2.0), (4.0, 2.0)] + ring[:3]
+
+
 def test_rectangle_synthesis_exact_dirichlet_zeros():
     # sin(k pi) = 0 is written exactly, so the Riesz apply can skip the
     # strip passes of the x = b and y = b edges
@@ -334,6 +356,44 @@ def test_robin_interval_matches_fresh(interval_basis_20k, x):
     val, spread, deltas = spectral.robin_detail(interval_basis_20k, 0.3, (x,))
     assert len(deltas) == 3
     assert (val, spread) == _fresh_robin(interval_basis_20k, 0.3, (x,), deltas)
+
+
+ROBIN_X = np.linspace(0.30, 1.10, 11)
+ROBIN_Y = np.linspace(0.27, 0.63, 9)
+
+
+@pytest.mark.parametrize("axes, levels", [
+    ((ROBIN_X, ROBIN_Y), {3}),
+    ((ROBIN_X + 0.013, ROBIN_Y - 0.009), {3}),
+    # d0 clipped at the edge nodes: 3 levels at 0.25, 2 at 0.2 and 1 at 0.1
+    ((np.array([0.1, 0.2, 0.25, 0.45, 0.7, 0.95, 1.15, 1.2, 1.3]),
+      np.array([0.1, 0.2, 0.3, 0.45, 0.6, 0.7, 0.8])), {1, 2, 3}),
+], ids=["rect_robin", "jittered", "clipped"])
+def test_robin_landscape_matches_per_point(robin_rect_basis, axes, levels):
+    detail = [spectral.robin_detail(robin_rect_basis, 0.45, p)
+              for p in itertools.product(*axes)]
+    assert {len(d[2]) for d in detail} == levels
+    want = np.array([d[0] for d in detail])
+    got = spectral._robin_landscape(robin_rect_basis, 0.45, axes, None)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    shape = [len(a) for a in axes]
+    assert spectral.robin_critical_points(robin_rect_basis, 0.45, axes) == \
+        spectral.critical_points_from_values(axes, want.reshape(shape))
+
+
+def test_robin_landscape_typed_errors(robin_rect_basis):
+    # the node (0.04, 0.27) is too close to the boundary for its offset
+    near_edge = np.array([0.04, 0.5, 0.7])
+    with pytest.raises(OutOfRange, match="resolution floor"):
+        spectral.robin(robin_rect_basis, 0.45, (0.04, ROBIN_Y[0]))
+    with pytest.raises(OutOfRange, match="resolution floor"):
+        spectral.robin_critical_points(robin_rect_basis, 0.45, (near_edge, ROBIN_Y))
+    with pytest.raises(OutOfRange, match="not interior"):
+        spectral.robin_critical_points(robin_rect_basis, 0.45,
+                                       (np.array([0.0, 0.5, 0.7]), ROBIN_Y))
+    for axes in [(ROBIN_X,), (ROBIN_X, ROBIN_Y, ROBIN_Y)]:
+        with pytest.raises(OutOfRange, match="domain dimension"):
+            spectral.robin_critical_points(robin_rect_basis, 0.45, axes)
 
 
 @pytest.mark.parametrize("dom, p, q", [(RECT, (0.3, 0.2), (0.9, 0.7)),
