@@ -215,6 +215,8 @@ def green_limit_check(record: SolutionRecord, basis, s, x0, sample_points):
         lhs = record.sup_norm * u_x
         rhs = b * g
         rows.append((pt, lhs, rhs, lhs / rhs if rhs != 0 else math.inf))
+    if not rows:
+        raise OutOfRange("green_limit_check needs at least one sample point")
     median = float(np.median([r[3] for r in rows]))
     return rows, median
 

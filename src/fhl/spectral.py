@@ -3,13 +3,16 @@ Green/Robin functions of supported domains.
 
 Interval Green values complete the truncated mode sum with an analytic
 summation-by-parts tail (four terms), which is what keeps the singularity
-subtraction in `robin` usable at small offsets; the magnitude of the
-completion is the recorded truncation-tail estimate.  Rectangle sums carry
-a Gaussian spectral mollifier at the eigenvalue cutoff instead: the raw
-sorted-mode partial sums of the 2-D series do not converge at desk-scale
-truncations, while the mollified sum is accurate down to offsets of a few
-multiples of the cutoff length 1/sqrt(lambda_K).  Its modes are products
-of per-axis sines, so it is a bilinear form in the points' sine vectors.
+subtraction of the Robin function usable at small offsets; the magnitude
+of the completion is the recorded truncation-tail estimate.  Rectangle sums
+carry a Gaussian spectral mollifier at the eigenvalue cutoff instead: the
+raw sorted-mode partial sums of the 2-D series do not converge at
+desk-scale truncations, while the mollified sum is accurate down to offsets
+of a few multiples of the cutoff length 1/sqrt(lambda_K).  Its modes are
+products of per-axis sines, so it is a bilinear form in the points' sine
+vectors.  `_robin_landscape` is the one Robin evaluator: `robin`,
+`robin_detail` and `robin_critical_points` all take their values from it,
+one point or a whole grid of them, in either dimension.
 
 Analysis and synthesis are a DST-I on an interval, computed from one numpy
 real FFT through the symmetric-extension view of the sine transforms
@@ -397,36 +400,14 @@ def _green_interval(basis: EigenBasis, s, x, y):
     return val + correction, abs(correction)
 
 
-def _green_from(basis: EigenBasis, s, p):
-    """G(p, .) at an interior point p, as a function of an interior q != p
-    returning (value, truncation-tail estimate); the work that depends on p
-    alone is done here, once: on a rectangle, p's per-axis sines are folded
-    into the box C of _green_arrays, G = sx(q1) . (C sx(p1) sy(p2)) . sy(q2)."""
-    if basis.dim == 1:
-        def at(q):
-            _require_interior(basis.domain, q)
-            return _green_interval(basis, s, p[0], q[0])
-        return at
-    coef = basis._green_arrays(s)
-
-    def sines(axis, x):
-        return _box_sines(basis.domain, axis, coef.shape[1 + axis], x)
-
-    mp = coef * sines(0, p[0])[:, None] * sines(1, p[1])
-
-    def at(q):
-        _require_interior(basis.domain, q)
-        v8, v16 = ((mp @ sines(1, q[1])) @ sines(0, q[0])).tolist()
-        return v8, abs(v8 - v16)
-    return at
-
-
 def _box_sines(domain: DomainSpec, axis, k_top, x):
     """sqrt(2/L) sin(k pi (x - lo)/L) along axis, k = 1 .. k_top, at the
-    coordinates x; shape x.shape + (k_top,)."""
+    coordinates x, once per distinct coordinate; shape x.shape + (k_top,)."""
     (lo, _), length = domain.ranges()[axis], domain.sides[axis]
+    vals, inv = np.unique(x, return_inverse=True)
     return math.sqrt(2.0 / length) * np.sin(
-        (np.asarray(x)[..., None] - lo) * (np.arange(1, k_top + 1) * math.pi) / length)
+        (vals[:, None] - lo) * (np.arange(1, k_top + 1) * math.pi) / length
+    )[inv.reshape(np.shape(x))]
 
 
 def _as_point(x, dim):
@@ -440,7 +421,10 @@ def _as_point(x, dim):
 
 
 def green_detail(basis: EigenBasis, s, x, y):
-    """(value, truncation-tail estimate) of the Green function at (x, y)."""
+    """(value, truncation-tail estimate) of the Green function at (x, y).
+
+    On a rectangle G(p, q) = sx(q1) . (C sx(p1) sy(p2)) . sy(q2) with C the
+    box of _green_arrays, and the tail estimate is |G_w8 - G_w16|."""
     dim = basis.dim
     p = _as_point(x, dim)
     q = _as_point(y, dim)
@@ -448,7 +432,15 @@ def green_detail(basis: EigenBasis, s, x, y):
         raise DiagonalEvaluation(
             "green is singular on the diagonal; use robin for the regular part")
     _require_interior(basis.domain, p)
-    return _green_from(basis, s, p)(q)
+    _require_interior(basis.domain, q)
+    if dim == 1:
+        return _green_interval(basis, s, p[0], q[0])
+    coef = basis._green_arrays(s)
+    (sxp, sxq), (syp, syq) = (
+        _box_sines(basis.domain, axis, coef.shape[1 + axis], [p[axis], q[axis]])
+        for axis in (0, 1))
+    v8, v16 = (((coef * sxp[:, None] * syp) @ syq) @ sxq).tolist()
+    return v8, abs(v8 - v16)
 
 
 def green(basis: EigenBasis, s, x, y):
@@ -481,6 +473,8 @@ def _robin_offsets(basis: EigenBasis, s, p, delta0):
     n = basis.dim
     if not 0.0 < n - 2.0 * s < n:
         raise OutOfRange(f"robin requires 0 < n - 2s < n, got n = {n}, s = {s}")
+    if delta0 is not None and not math.isfinite(delta0):
+        raise OutOfRange(f"robin offset delta0 must be finite, got {delta0!r}")
     floor = resolution_floor(basis)
     dist = min(min(x - lo, hi - x) for (lo, hi), x in zip(basis.domain.ranges(), p))
     d0 = delta0 if delta0 is not None else max(
@@ -490,11 +484,7 @@ def _robin_offsets(basis: EigenBasis, s, p, delta0):
         raise OutOfRange(
             f"offset {d0:.3e} below the series resolution floor {floor:.3e}; "
             "the point is too close to the boundary for this mode count")
-    if d0 / 4.0 < floor:
-        levels = 2 if d0 / 2.0 >= floor else 1
-    else:
-        levels = 3
-    return [d0 / 2 ** j for j in range(levels)]
+    return [d0 / 2 ** j for j in range(3) if d0 / 2 ** j >= floor]
 
 
 def _richardson(e_vals):
@@ -515,75 +505,84 @@ def _richardson(e_vals):
 
 
 def robin_detail(basis: EigenBasis, s, x, delta0=None):
-    """(value, extrapolation spread, offsets) of the Robin function at x.
-
-    H(x, y) = gamma_ns |x-y|^{-(n-2s)} - G(x, y) is evaluated at symmetric
-    offsets delta, delta/2, delta/4 along each axis (odd terms cancel in
-    the average) and Richardson-extrapolated on the even powers.
-    """
-    n = basis.dim
-    p = _as_point(x, n)
-    deltas = _robin_offsets(basis, s, p, delta0)
-    gam = constants.gamma_ns(n, s)
-    green_p = _green_from(basis, s, p)
-
-    def averaged(d):
-        vals = []
-        for axis in range(n):
-            for sign in (+1.0, -1.0):
-                q = list(p)
-                q[axis] += sign * d
-                vals.append(gam * d ** (-(n - 2.0 * s)) - green_p(tuple(q))[0])
-        return float(np.mean(vals))
-
-    return _richardson([averaged(d) for d in deltas]) + (tuple(deltas),)
-
-
-def _robin_landscape(basis: EigenBasis, s, axes, delta0):
-    """robin at every node of the rectangle grid axes[0] x axes[1], in node
-    order, with one contraction per offset for all the nodes at once.
-
-    With C the first mollifier level of the Green box, an x offset of the
-    node p is G(p, p + d e_1) = sum_kx sx(p1) sx(p1 + d) (C sy(p2)^2)_kx:
-    C is contracted with the squared y sines of every node once, and each
-    offset then takes one elementwise product and sum with its shifted
-    sines; the y offsets likewise with C^T and the x sines.  Each node
-    keeps its own offsets, levels and typed errors, and every node is
-    checked before any is summed.  Per-node `robin` is the oracle.
-    """
-    points = [_as_point(pt, 2) for pt in itertools.product(*axes)]
-    deltas = [_robin_offsets(basis, s, p, delta0) for p in points]
-    c = basis._green_arrays(s)[0]
-    px, py = np.array(points).T
-    d = np.array([dl[0] for dl in deltas])[:, None] / [1.0, 2.0, 4.0]
-    step = np.stack([d, -d], axis=-1).reshape(len(points), 6)
-
-    def sines(axis, x):
-        # one row per distinct coordinate, which the nodes share and, unless
-        # d0 is clipped, their offsets too; shape x.shape + (k_max,)
-        vals, inv = np.unique(x, return_inverse=True)
-        return _box_sines(basis.domain, axis, c.shape[axis], vals)[inv.reshape(x.shape)]
-
-    sx, sy = sines(0, px), sines(1, py)
-    green = [np.einsum("pk,pok->po", sx * (sy ** 2 @ c.T), sines(0, px[:, None] + step)),
-             np.einsum("pk,pok->po", sy * (sx ** 2 @ c), sines(1, py[:, None] + step))]
-    # (node, level, the offsets x+, x-, y+, y-)
-    green = np.concatenate([g.reshape(-1, 3, 2) for g in green], axis=-1)
-    e_vals = np.mean(constants.gamma_ns(2, s) * d[..., None] ** (2.0 * s - 2.0)
-                     - green, axis=-1)
-    return np.array([_richardson(e[:len(dl)].tolist())[0]
-                     for e, dl in zip(e_vals, deltas)])
+    """(value, extrapolation spread, offsets) of the Robin function at x:
+    the landscape of the one point x."""
+    return _robin_landscape(basis, s, [x], delta0)[0]
 
 
 def robin(basis: EigenBasis, s, x, delta0=None):
     return robin_detail(basis, s, x, delta0)[0]
 
 
+def _robin_landscape(basis: EigenBasis, s, points, delta0):
+    """(value, extrapolation spread, offsets) of the Robin function at each
+    of the points, in order; every point is checked before any is summed.
+
+    H(x, y) = gamma_ns |x-y|^{-(n-2s)} - G(x, y) is evaluated at symmetric
+    offsets d, d/2, d/4 along each axis (odd terms cancel in the average)
+    and Richardson-extrapolated on the even powers; each point keeps its own
+    offsets, levels and typed errors (_robin_offsets).
+
+    On an interval each offset is one tail-completed _green_interval.  On a
+    rectangle all points take one contraction per offset: with C the first
+    mollifier level of the Green box, an x offset of the point p is
+    G(p, p + d e_1) = sum_kx sx(p1) sx(p1 + d) (C sy(p2)^2)_kx, so C is
+    contracted with the squared y sines of every point once, and each
+    offset then takes one elementwise product and sum with its shifted
+    sines; the y offsets likewise with C^T and the x sines.
+    """
+    n = basis.dim
+    points = [_as_point(pt, n) for pt in points]
+    deltas = [_robin_offsets(basis, s, p, delta0) for p in points]
+    gam = constants.gamma_ns(n, s)
+    if n == 1:
+        e_vals = [[float(np.mean([gam * d ** (-(n - 2.0 * s))
+                                  - _green_interval(basis, s, p[0], p[0] + sign * d)[0]
+                                  for sign in (+1.0, -1.0)]))
+                   for d in dl] for p, dl in zip(points, deltas)]
+    else:
+        c = basis._green_arrays(s)[0]
+        px, py = np.array(points).T
+        d = np.array([dl[0] for dl in deltas])[:, None] / [1.0, 2.0, 4.0]
+        step = np.stack([d, -d], axis=-1).reshape(len(points), 6)
+
+        def sines(axis, x):
+            # the points share coordinates and, unless d0 is clipped, offsets
+            return _box_sines(basis.domain, axis, c.shape[axis], x)
+
+        sx, sy = sines(0, px), sines(1, py)
+        green = [np.einsum("pk,pok->po", sx * (sy ** 2 @ c.T), sines(0, px[:, None] + step)),
+                 np.einsum("pk,pok->po", sy * (sx ** 2 @ c), sines(1, py[:, None] + step))]
+        # (point, level, the offsets x+, x-, y+, y-)
+        green = np.concatenate([g.reshape(-1, 3, 2) for g in green], axis=-1)
+        e_vals = np.mean(gam * d[..., None] ** (2.0 * s - 2.0) - green, axis=-1)
+        e_vals = [e[:len(dl)].tolist() for e, dl in zip(e_vals, deltas)]
+    return [_richardson(e) + (tuple(dl),) for e, dl in zip(e_vals, deltas)]
+
+
+def _grid_axes(grid_axes):
+    """The per-axis node arrays of a critical-point grid: the centered-
+    difference gradient and its sign changes need at least 2 nodes per
+    axis, in strictly increasing or strictly decreasing order."""
+    axes = [np.asarray(x, dtype=float) for x in grid_axes]
+    for x in axes:
+        if x.ndim != 1 or len(x) < 2:
+            raise OutOfRange(f"a grid axis needs 2 or more nodes, got {x}")
+        steps = np.diff(x)
+        if not (np.all(steps > 0.0) or np.all(steps < 0.0)):
+            raise OutOfRange(f"grid axis {x} is not strictly monotone")
+    return axes
+
+
 def critical_points_from_values(grids_axes, phi_values):
     """Grid points where the centered-difference gradient changes sign in
     every axis, by increasing gradient magnitude."""
-    axes = [np.asarray(x) for x in grids_axes]
+    axes = _grid_axes(grids_axes)
     phi = np.asarray(phi_values)
+    if phi.shape != tuple(len(x) for x in axes):
+        raise OutOfRange(
+            f"values of shape {phi.shape} do not match the grid axes "
+            f"{tuple(len(x) for x in axes)}")
     grads = [np.gradient(phi, x, axis=d) for d, x in enumerate(axes)]
     flags = np.ones(phi.shape, dtype=bool)
     for d, g in enumerate(grads):
@@ -610,11 +609,9 @@ def critical_points_from_values(grids_axes, phi_values):
 def robin_critical_points(basis: EigenBasis, s, grid_axes, delta0=None):
     """Critical points of the Robin function phi(x) = H(x, x) on a grid.
 
-    grid_axes: per-axis arrays of interior evaluation points.
+    grid_axes: per-axis arrays of interior evaluation points, each with 2
+    or more nodes in strictly monotone order.
     """
-    axes = [np.asarray(x) for x in grid_axes]
-    if basis.dim == 1:
-        phi = np.array([robin(basis, s, pt, delta0) for pt in itertools.product(*axes)])
-    else:
-        phi = _robin_landscape(basis, s, axes, delta0)
-    return critical_points_from_values(axes, phi.reshape([len(x) for x in axes]))
+    axes = _grid_axes(grid_axes)
+    phi = [v for v, _, _ in _robin_landscape(basis, s, itertools.product(*axes), delta0)]
+    return critical_points_from_values(axes, np.reshape(phi, [len(x) for x in axes]))

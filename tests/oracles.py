@@ -3,7 +3,7 @@
 `riesz_rows_1d` builds the dense rows of the 1-D Riesz weights, cell by
 cell from the kernel's moments against hat functions; `riesz.convolve`
 applies the same rows in Toeplitz form through an FFT.  `phi_at` evaluates
-every eigenfunction of a basis at one point, the per-mode form of the
+every eigenfunction of a basis at a point, the per-mode form of the
 factored Green sums.  `moment_double_2d_fftconvolve` is the 2-D moment
 double integral as it stood on `scipy.signal.fftconvolve`, the oracle of
 `diagnostics._moment_double_2d`, which applies each kernel table through
@@ -48,12 +48,15 @@ def riesz_rows_1d(x, mu):
 
 
 def phi_at(basis, point):
-    """phi_k(point) for all K modes of the basis at one point."""
+    """phi_k(point) for all K modes of the basis at one point, shape (K,);
+    coordinates of shape (m, 1) give the m points' (m, K) rows.  Each axis
+    is evaluated once per k = 1 .. k_max and read per mode."""
     vals = 1.0
     for k, (lo, _), length, x in zip(basis._axis_modes(), basis.domain.ranges(),
                                      basis.domain.sides, point):
+        ks = np.arange(1, k.max() + 1)
         vals = vals * math.sqrt(2.0 / length) * np.sin(
-            k * math.pi * (x - lo) / length)
+            ks * math.pi * (x - lo) / length)[..., k - 1]
     return vals
 
 

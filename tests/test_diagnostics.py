@@ -300,6 +300,17 @@ def test_green_limit_rejects_wrong_dimension(sample):
         diagnostics.green_limit_check(rec, basis, 0.45, (0.7, 0.45), [sample])
 
 
+def test_green_limit_rejects_no_samples():
+    from types import SimpleNamespace
+    dom = interval(0.0, 1.0, 64)
+    rec = SimpleNamespace(grid=GridField(dom, np.ones(64)), sup_norm=1.0,
+                          params=make_params(1, 0.3, 0.4, 0.1,
+                                             Regime.SUBCRITICAL_HARTREE))
+    basis = spectral.build_basis(dom, 8)
+    with pytest.raises(OutOfRange, match="at least one sample point"):
+        diagnostics.green_limit_check(rec, basis, 0.3, (0.5,), [])
+
+
 def test_boundary_bounds_degenerate(params1):
     rep = _synthetic_report(params1, [(0.4, 2.0)])
     with pytest.raises(DegenerateStrip):

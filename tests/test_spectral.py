@@ -276,20 +276,29 @@ def _fresh_green(basis, s, p, q):
 
 
 def _fresh_robin(basis, s, p, deltas):
-    """Three-level Richardson Robin value and spread on _fresh_green."""
+    """Richardson Robin value and spread on _fresh_green, on one, two or
+    three levels, one per offset in deltas.  On a rectangle the per-mode
+    terms of all offsets are stacked and each offset's row is summed alone,
+    which reproduces _fresh_green's values bit for bit."""
     n = basis.dim
     gam = constants.gamma_ns(n, s)
-    e_vals = []
-    for d in deltas:
-        vals = []
-        for axis in range(n):
-            for sign in (+1.0, -1.0):
-                q = list(p)
-                q[axis] += sign * d
-                vals.append(gam * d ** (-(n - 2.0 * s))
-                            - _fresh_green(basis, s, p, tuple(q))[0])
-        e_vals.append(float(np.mean(vals)))
+    offsets = [tuple(x + sign * d if a == axis else x for a, x in enumerate(p))
+               for d in deltas for axis in range(n) for sign in (+1.0, -1.0)]
+    if n == 1:
+        green = [_fresh_green(basis, s, p, q)[0] for q in offsets]
+    else:
+        lam = basis.lambdas
+        w8 = np.exp(-8.0 * (lam / lam[-1]) ** 2)
+        prod = phi_at(basis, p) * phi_at(basis, np.array(offsets).T[..., None]) / lam ** s
+        green = [float(np.sum(row)) for row in w8 * prod]
+    e_vals = [float(np.mean([gam * d ** (-(n - 2.0 * s)) - g
+                             for g in green[2 * n * j:2 * n * (j + 1)]]))
+              for j, d in enumerate(deltas)]
+    if len(e_vals) == 1:
+        return e_vals[0], float("nan")
     r1 = (4.0 * e_vals[1] - e_vals[0]) / 3.0
+    if len(e_vals) == 2:
+        return r1, abs(e_vals[1] - e_vals[0])
     r2 = (4.0 * e_vals[2] - e_vals[1]) / 3.0
     return (16.0 * r2 - r1) / 15.0, abs(r2 - r1)
 
@@ -351,11 +360,15 @@ def test_robin_rectangle_matches_fresh(robin_rect_basis, point):
     assert abs(spread - want_spread) <= 1e-13 * abs(want_val)
 
 
-@pytest.mark.parametrize("x", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("x", [0.3, 0.5, 0.9, 5e-4, 3e-4])
 def test_robin_interval_matches_fresh(interval_basis_20k, x):
+    # near the end d0 is clipped to 0.9 x, and the levels below the
+    # resolution floor 10 / (pi K) = 1.6e-4 are dropped
+    levels = {5e-4: 2, 3e-4: 1}.get(x, 3)
     val, spread, deltas = spectral.robin_detail(interval_basis_20k, 0.3, (x,))
-    assert len(deltas) == 3
-    assert (val, spread) == _fresh_robin(interval_basis_20k, 0.3, (x,), deltas)
+    assert len(deltas) == levels
+    want = _fresh_robin(interval_basis_20k, 0.3, (x,), deltas)
+    np.testing.assert_array_equal((val, spread), want)
 
 
 ROBIN_X = np.linspace(0.30, 1.10, 11)
@@ -370,15 +383,19 @@ ROBIN_Y = np.linspace(0.27, 0.63, 9)
       np.array([0.1, 0.2, 0.3, 0.45, 0.6, 0.7, 0.8])), {1, 2, 3}),
 ], ids=["rect_robin", "jittered", "clipped"])
 def test_robin_landscape_matches_per_point(robin_rect_basis, axes, levels):
-    detail = [spectral.robin_detail(robin_rect_basis, 0.45, p)
-              for p in itertools.product(*axes)]
-    assert {len(d[2]) for d in detail} == levels
-    want = np.array([d[0] for d in detail])
-    got = spectral._robin_landscape(robin_rect_basis, 0.45, axes, None)
-    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    points = list(itertools.product(*axes))
+    got = spectral._robin_landscape(robin_rect_basis, 0.45, points, None)
+    assert {len(g[2]) for g in got} == levels
+    for p, (val, spread, deltas) in zip(points, got):
+        want_val, want_spread = _fresh_robin(robin_rect_basis, 0.45, p, deltas)
+        assert abs(val - want_val) <= 1e-13 * abs(want_val), (p, val, want_val)
+        if len(deltas) == 1:
+            assert math.isnan(spread) and math.isnan(want_spread)
+        else:
+            assert abs(spread - want_spread) <= 1e-13 * abs(want_val)
     shape = [len(a) for a in axes]
     assert spectral.robin_critical_points(robin_rect_basis, 0.45, axes) == \
-        spectral.critical_points_from_values(axes, want.reshape(shape))
+        spectral.critical_points_from_values(axes, np.reshape([g[0] for g in got], shape))
 
 
 def test_robin_landscape_typed_errors(robin_rect_basis):
@@ -442,3 +459,48 @@ def test_green_robin_typed_errors(dom):
         spectral.green(basis, 0.3, inner, wrong)
     with pytest.raises(OutOfRange, match="domain dimension"):
         spectral.robin(basis, 0.3, wrong)
+
+
+@pytest.mark.parametrize("dom", [RECT, LINE], ids=["rectangle", "interval"])
+@pytest.mark.parametrize("delta0", [math.nan, math.inf])
+def test_robin_rejects_nonfinite_delta0(dom, delta0):
+    basis = spectral.build_basis(dom, 512 if dom.dim == 2 else 128)
+    inner = tuple(0.5 * (a + b) for a, b in dom.ranges())
+    axes = [np.linspace(0.4 * a + 0.6 * b, 0.6 * a + 0.4 * b, 3) for a, b in dom.ranges()]
+    with pytest.raises(OutOfRange, match="delta0"):
+        spectral.robin(basis, 0.3, inner, delta0=delta0)
+    with pytest.raises(OutOfRange, match="delta0"):
+        spectral.robin_critical_points(basis, 0.3, axes, delta0=delta0)
+
+
+def test_critical_points_single_node_axis_rejected(robin_rect_basis):
+    with pytest.raises(OutOfRange, match="2 or more nodes"):
+        spectral.robin_critical_points(robin_rect_basis, 0.45,
+                                       (np.array([0.7]), ROBIN_Y))
+    with pytest.raises(OutOfRange, match="2 or more nodes"):
+        spectral.critical_points_from_values((np.array([0.7]),), np.array([1.0]))
+
+
+@pytest.mark.parametrize("xs", [[0.0, 0.25, 0.5, 0.5, 1.0],
+                                # distinct, but out of order: the gradient
+                                # would flag 0.0 and 0.9 as critical
+                                [0.0, 0.6, 0.3, 0.9, 1.0]],
+                         ids=["repeated", "unsorted"])
+def test_critical_points_unordered_axis_rejected(xs):
+    xs = np.array(xs)
+    with pytest.raises(OutOfRange, match="strictly monotone"):
+        spectral.critical_points_from_values((xs,), (xs - 0.5) ** 2)
+
+
+def test_critical_points_decreasing_axis():
+    xs = np.linspace(1.0, 0.0, 5)
+    assert spectral.critical_points_from_values((xs,), (xs - 0.5) ** 2)[0] == (0.5,)
+
+
+def test_critical_points_value_shape_rejected():
+    xs, ys = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 4)
+    phi = (xs[:, None] - 0.5) ** 2 + (ys - 0.5) ** 2
+    with pytest.raises(OutOfRange, match="do not match the grid axes"):
+        spectral.critical_points_from_values((xs, ys), phi.T)
+    with pytest.raises(OutOfRange, match="do not match the grid axes"):
+        spectral.critical_points_from_values((xs,), phi)
