@@ -163,9 +163,9 @@ def _write_solution_csv(path, record):
 # SVG line charts (static artifacts only)
 # --------------------------------------------------------------------------
 
-def _svg_chart(path, series, title, width=640, height=400):
+def _svg_chart(path, series, title):
     """One polyline per (label, xs, ys) triple on log-free axes."""
-    pad = 50.0
+    width, height, pad = 640, 400, 50.0
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
     if not xs_all:

@@ -165,6 +165,8 @@ def rate_law_subcritical(report: ContinuationReport, robin_at_x0):
     if robin_at_x0 is None:
         raise MissingRobin("rate_law_subcritical needs the Robin value at x0")
     p = report.params
+    if p.regime is not Regime.SUBCRITICAL_HARTREE:
+        raise OutOfRange("rate_law_subcritical applies to the subcritical Hartree regime")
     n, s = p.n, p.s
     lhs = [(d["eps"], d["rate_lhs"]) for d in report.derived]
     gam = constants.gamma_ns(n, s)

@@ -53,10 +53,13 @@ class Exponents:
 def make_params(n, s, mu, eps, regime) -> Params:
     """Validate raw numeric inputs and return a Params value.
 
-    Raises OutOfRange naming the failing inequality.
+    Raises OutOfRange naming the failing inequality or the accepted regimes.
     """
-    if isinstance(regime, str):
+    try:
         regime = Regime(regime)
+    except ValueError:
+        raise OutOfRange(f"unknown regime {regime!r}, accepted: "
+                         + ", ".join(r.value for r in Regime)) from None
     if n not in (1, 2, 3):
         raise OutOfRange(f"n must be 1, 2 or 3, got {n}")
     n = int(n)
@@ -88,8 +91,6 @@ def make_params(n, s, mu, eps, regime) -> Params:
     elif regime is Regime.FREE_SPACE:
         if not 2.0 * s < n:
             raise OutOfRange(f"2s < n fails: 2s = {2.0 * s}, n = {n}")
-    else:  # pragma: no cover - enum is closed
-        raise OutOfRange(f"unknown regime {regime!r}")
 
     return Params(n=n, s=s, mu=mu, eps=eps, regime=regime)
 

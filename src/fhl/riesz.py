@@ -36,11 +36,12 @@ its own transform arrays, so `convolve` is reentrant across threads.
 
 Radial free-space integrals over [0, inf) all go through
 `half_line_integral`: one tail map, one decay guard and one error check.
+Their angular integrals are closed forms, so no rule is nested.
 
 Only numpy loads with this module: FFT sizes are computed here, and the
-singular quarter cell of a 2-D build is a Gauss-Legendre sum.
-`scipy.integrate`, which `quad` needs, is imported inside the radial
-quadratures that call it, so no solve loads SciPy.
+singular quarter cell of a 2-D build is a Gauss-Legendre sum.  SciPy's
+`quad` and `hyp2f1` are imported inside the functions that call them, so
+no solve loads SciPy.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ import functools
 import itertools
 import math
 import os
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -456,20 +456,27 @@ def riesz_at_center(f_radial, params):
         lambda r: r ** (n - 1.0 - mu) * f_radial(r), (0.0, 1.0))
 
 
-def riesz_radial(f_radial, rho, params):
-    """(|.|^{-mu} * f)(x) with |x| = rho for a radial profile f.
+def _circle_mean(rho, r, mu):
+    """INT_0^{2 pi} |x - y|^{-mu} dtheta for |x| = rho, |y| = r in the plane:
+    2 pi R^{-mu} 2F1(mu/2, mu/2; 1; (m/R)^2), R = max(rho, r), m = min(rho, r)
+    (DLMF 15.8); infinite at r = rho for mu >= 1."""
+    from scipy.special import hyp2f1
+    big, small = max(rho, r), min(rho, r)
+    return 2.0 * math.pi * big ** (-mu) * hyp2f1(0.5 * mu, 0.5 * mu, 1.0, (small / big) ** 2)
 
-    The angular integral is exact in n = 1 and n = 3 and reduces to a 1-D
-    quadrature in n = 2, so off-center values cost two nested 1-D rules.
-    """
+
+def riesz_radial(f_radial, rho, params):
+    """(|.|^{-mu} * f)(x) with |x| = rho for a radial profile f, one 1-D rule
+    over the closed-form angular integral: elementary in n = 1 and 3,
+    `_circle_mean` in n = 2 (one 2F1 for every n would round its argument
+    near r = rho, where the elementary forms are exact to rounding)."""
     n, mu = params.n, params.mu
     rho = float(abs(rho))
     if rho == 0.0:
         return riesz_at_center(f_radial, params)
     # decade breaks rho 10^k < 1 between rho and the outer break: one QAGS
     # piece over many decades misses the kernel's peak at r = rho (the
-    # log-singular one of n = 3, mu = 2) with a passing estimate; n = 2
-    # keeps none, because there they make mu = 1.5 fail at rho = 1e-2
+    # log-singular one of n = 3, mu = 2) with a passing estimate
     inner = tuple(rho * 10.0 ** k for k in range(1, math.ceil(-math.log10(rho))))
 
     if n == 1:
@@ -491,19 +498,8 @@ def riesz_radial(f_radial, rho, params):
                 kern = d ** q * math.expm1(q * log_ratio) / q if q else log_ratio
             return f_radial(r) * r * (2.0 * math.pi / rho) * kern
     elif n == 2:
-        from scipy.integrate import IntegrationWarning, quad
-        inner = ()
-
         def integrand(r):
-            c = rho * rho + r * r
-            d = 2.0 * rho * r
-            # near r = rho QUADPACK flags roundoff in this angular rule; the
-            # outer estimate, which half_line_integral checks, covers it
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", IntegrationWarning)
-                v, _ = quad(lambda t: (c - d * math.cos(t)) ** (-mu / 2.0),
-                            0.0, math.pi, epsabs=1e-13, epsrel=1e-11, limit=400)
-            return 2.0 * f_radial(r) * r * v
+            return f_radial(r) * r * _circle_mean(rho, r, mu)
     else:
         raise OutOfRange(f"radial convolution supports n in (1,2,3), got {n}")
     return half_line_integral(integrand, (0.0, rho, *inner, max(2.0 * rho, 1.0) + 1.0))

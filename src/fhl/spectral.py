@@ -366,23 +366,22 @@ def gram_defect(basis: EigenBasis):
 # Green function
 # --------------------------------------------------------------------------
 
-def _cos_tail(theta, K, s, length, terms=4):
+def _cos_tail(theta, K, s, length):
     """Analytic completion of sum_{k>K} (k pi/L)^{-2s} cos(k theta).
 
-    Summation by parts around the geometric series; accurate once
-    K|theta| >> 1, with the remainder shrinking by ~1/(K|theta|) per term.
+    Four terms of summation by parts around the geometric series; accurate
+    once K|theta| >> 1, with the remainder shrinking by ~1/(K|theta|) per term.
     """
+    terms = 4
     z = complex(math.cos(theta), math.sin(theta))
     if abs(1.0 - z) < 1e-9:
         raise DiagonalEvaluation("tail completion undefined on the diagonal direction")
-    ks = np.arange(K + 1, K + 2 + terms, dtype=float)
-    avals = (ks * math.pi / length) ** (-2.0 * s)
-    diffs = [avals]
-    for _ in range(terms):
-        diffs.append(np.diff(diffs[-1]))
+    # the m-th forward difference of the coefficients at k = K + 1
+    diffs = (np.arange(K + 1, K + 1 + terms, dtype=float) * math.pi / length) ** (-2.0 * s)
     acc = 0.0j
     for m in range(terms):
-        acc += diffs[m][0] * z ** m / (1.0 - z) ** (m + 1)
+        acc += diffs[0] * z ** m / (1.0 - z) ** (m + 1)
+        diffs = np.diff(diffs)
     return (z ** (K + 1) * acc).real
 
 

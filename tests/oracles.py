@@ -11,8 +11,10 @@ double integral as it stood on `scipy.signal.fftconvolve`, the oracle of
 
 The SciPy routines that the numpy solve path replaced stay here as its
 oracles: `scipy.fft.dst` for `spectral._dst1`, `scipy.fft.next_fast_len`
-for `riesz._fft_len`, and `singular_quadrant_quad`, the QUADPACK body of
-`riesz._singular_quadrant`.
+for `riesz._fft_len`, `singular_quadrant_quad`, the QUADPACK body of
+`riesz._singular_quadrant`, and `circle_mean_quad`, the nested angular
+rule that the closed form `riesz._circle_mean` replaced in the n = 2
+`riesz.riesz_radial`.
 """
 
 import math
@@ -98,3 +100,14 @@ def singular_quadrant_quad(a, b, mu):
     i2, _ = quad(lambda t: (b / math.sin(t)) ** (2.0 - mu), phi0, math.pi / 2.0,
                  epsabs=1e-14, epsrel=1e-12)
     return (i1 + i2) / (2.0 - mu)
+
+
+def circle_mean_quad(rho, r, mu):
+    """The former n = 2 angular rule of `riesz.riesz_radial`: the circle
+    mean INT_0^{2 pi} |x - y|^{-mu} dtheta as twice a QUADPACK integral
+    over [0, pi]."""
+    c = rho * rho + r * r
+    d = 2.0 * rho * r
+    v, _ = quad(lambda t: (c - d * math.cos(t)) ** (-mu / 2.0), 0.0, math.pi,
+                epsabs=1e-13, epsrel=1e-11, limit=400)
+    return 2.0 * v

@@ -142,6 +142,16 @@ def test_convolution_identity_n3_mu2():
         assert bubbles.convolution_identity_residual(bub, (rho, 0.0, 0.0)) < 1e-12
 
 
+def test_convolution_identity_n2_bn_kernel():
+    """n = 2 at the Brezis-Nirenberg kernel exponent mu = 1.2 != n - 2s:
+    the closed-form circle mean holds the identity off the centre, where
+    the nested angular rule raised QuadratureFailure at rho = 2 and 5."""
+    p = make_params(2, 0.45, 1.2, 0.0, Regime.FREE_SPACE)
+    bub = Bubble(BubbleFamily.HARTREE_W, (0.0, 0.0), 1.0, p)
+    for rho in (0.5, 1.0, 2.0, 5.0, 10.0):
+        assert bubbles.convolution_identity_residual(bub, (rho, 0.0)) < 1e-12
+
+
 def test_hls_quotient_value(params_251):
     bub = Bubble(BubbleFamily.HARTREE_W, (0.0, 0.0), 1.0, params_251)
     q = bubbles.hls_quotient(bub)

@@ -85,6 +85,16 @@ def test_bubble_check_csv(capsys):
         assert float(line.split(",")[3]) < 1e-5
 
 
+def test_bubble_check_n2_bn_kernel(capsys):
+    """The 2-D check at the bn_sweep kernel exponent runs to its last row."""
+    rc = run_command(["bubble", "check", "--n", "2", "--s", "0.45", "--mu", "1.2"])
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 17
+    for line in lines[1:]:
+        assert float(line.split(",")[3]) < 1e-12
+
+
 def test_bubble_quotient(capsys):
     rc = run_command(["bubble", "quotient", "--n", "2", "--s", "0.5", "--mu", "1"])
     assert rc == 0

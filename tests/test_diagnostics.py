@@ -120,6 +120,14 @@ def test_rate_law_rhs_composition_n1_s03():
     assert rhs > 0.0
 
 
+def test_rate_law_subcritical_rejects_bn_report():
+    """A Brezis-Nirenberg report has its own rate law, not this one."""
+    p = make_params(2, 0.45, 1.2, 1.0, Regime.BREZIS_NIRENBERG)
+    rep = _synthetic_report(p, [(1.0, 1.0), (0.8, 1.2)])
+    with pytest.raises(OutOfRange, match="subcritical"):
+        diagnostics.rate_law_subcritical(rep, robin_at_x0=0.2)
+
+
 def test_rate_law_bn_synthetic():
     p = make_params(2, 0.45, 1.2, 1.0, Regime.BREZIS_NIRENBERG)
     expo = (2 * 2 - 8 * 0.45) / (2 - 2 * 0.45)

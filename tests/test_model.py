@@ -77,3 +77,13 @@ def test_exponents_pure():
     p1 = make_params(1, 0.3, 0.4, 0.1, Regime.SUBCRITICAL_HARTREE)
     p2 = make_params(1, 0.3, 0.4, 0.1, Regime.SUBCRITICAL_HARTREE)
     assert exponents(p1) == exponents(p2)
+
+
+@pytest.mark.parametrize("regime", ["bogus", None])
+def test_unknown_regime_is_out_of_range(regime):
+    with pytest.raises(OutOfRange, match="subcritical, brezis_nirenberg, free_space"):
+        make_params(1, 0.3, 0.4, 0.1, regime)
+
+
+def test_regime_by_value():
+    assert make_params(1, 0.3, 0.4, 0.1, "subcritical").regime is Regime.SUBCRITICAL_HARTREE

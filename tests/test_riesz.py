@@ -12,6 +12,7 @@ from fhl.errors import (DivergentTail, GridMismatch, KernelNotIntegrable,
 from fhl.grids import GridField, interval, rectangle
 from fhl.model import Regime, make_params
 from fhl.riesz import _singular_quadrant
+from oracles import circle_mean_quad
 
 
 def mass_oracle_1d(x, a, b, mu):
@@ -345,20 +346,32 @@ def test_riesz_radial_non_integrable_is_quadrature_failure():
 
 @pytest.mark.parametrize("rho", [1e-6, 1e-8, 1e-10, 1e-12])
 def test_riesz_radial_n3_small_rho_matches_center(rho):
-    """Off-centre n = 3 and n = 1 values tend to the centre value, which
-    they miss by O(rho^2): the n = 3 kernel difference (rho + r)^q -
-    |rho - r|^q is formed without cancelling two close powers, and decade
-    breaks above rho carry the log-singular kernel of mu = 2 and the
-    kernel peak of n = 1 at r = rho."""
+    """Off-centre values tend to the centre value, which they miss by
+    O(rho^2): the n = 3 kernel difference (rho + r)^q - |rho - r|^q is
+    formed without cancelling two close powers, n = 2 takes the closed-form
+    circle mean, and decade breaks above rho carry the log-singular kernel
+    of n = 3, mu = 2 and the kernel peak at r = rho of n = 1 and n = 2."""
 
     def f(r):
         return (1.0 + r * r) ** -3
 
-    for n, s, mus in ((3, 0.6, (2.0, 1.999, 1.8)), (1, 0.3, (0.1, 0.4, 0.6))):
+    for n, s, mus in ((3, 0.6, (2.0, 1.999, 1.8)), (1, 0.3, (0.1, 0.4, 0.6)),
+                      (2, 0.5, (0.3, 1.0, 1.5, 1.8))):
         for mu in mus:
             p = make_params(n, s, mu, 0.0, Regime.FREE_SPACE)
             center = riesz.riesz_radial(f, 0.0, p)
             assert abs(riesz.riesz_radial(f, rho, p) / center - 1.0) < 1e-10, (n, mu)
+
+
+def test_circle_mean_matches_nested_rule():
+    """The closed-form n = 2 circle mean against the angular QUADPACK rule
+    it replaced, away from r = rho, where that rule loses accuracy."""
+    for rho in (1e-3, 0.1, 1.0, 10.0):
+        for ratio in (0.0, 0.1, 0.5, 0.9, 1.1, 2.0, 10.0):
+            for mu in (0.3, 1.0, 1.5, 1.9):
+                exact = circle_mean_quad(rho, ratio * rho, mu)
+                got = riesz._circle_mean(rho, ratio * rho, mu)
+                assert abs(got / exact - 1.0) < 1e-12, (rho, ratio, mu)
 
 
 @pytest.mark.parametrize("breaks", [(0.0, 1.0), (0.0, 0.3, 2.0, 7.0)])
