@@ -15,7 +15,7 @@ import numpy as np
 from . import constants, riesz
 from .errors import (DegenerateScale, EmptyWindow, EvaluationAtOrigin,
                      OutOfRange)
-from .grids import GridField, interpolate, interval, rectangle
+from .grids import DomainSpec, GridField, as_points, interpolate
 from .model import Params, exponents
 
 
@@ -46,16 +46,6 @@ class Bubble:
         return constants.alpha_nmus(p.n, p.mu, p.s)
 
 
-def _as_points(x, n):
-    """x as an array whose last axis holds n coordinates; a scalar is a
-    point only when n = 1."""
-    x = np.asarray(x, dtype=float)
-    x = x.reshape(1) if x.shape == () and n == 1 else x
-    if x.shape[-1:] != (n,):
-        raise OutOfRange(f"expected points with {n} coordinate(s), got {x!r}")
-    return x
-
-
 def _profile_r2(bubble: Bubble):
     """r2 -> amplitude * (lambda/(1+lambda^2 r2))^{(n-2s)/2}, r2 = |x-xi|^2:
     the one body of the bubble formula, amplitude and exponent bound once."""
@@ -75,7 +65,7 @@ def eval_bubble(bubble: Bubble, x):
 
     x is a point (length-n sequence) or an array whose last axis has length n.
     """
-    x = _as_points(x, bubble.params.n)
+    x = as_points(x, bubble.params.n)
     r2 = np.sum((x - np.asarray(bubble.xi)) ** 2, axis=-1)
     return _profile_r2(bubble)(r2)
 
@@ -95,7 +85,7 @@ def kelvin(f, params: Params):
     n, s = params.n, params.s
 
     def g(x):
-        x = _as_points(x, n)
+        x = as_points(x, n)
         r2 = np.sum(x ** 2, axis=-1)
         if np.any(r2 == 0.0):
             raise EvaluationAtOrigin("Kelvin transform is undefined at the origin")
@@ -110,7 +100,7 @@ def convolution_identity_lhs_rhs(bubble: Bubble, x):
         raise OutOfRange("the convolution identity is stated for the W family")
     p = bubble.params
     exp = exponents(p)
-    rho = float(np.sqrt(np.sum((np.asarray(x, dtype=float) - np.asarray(bubble.xi)) ** 2)))
+    rho = float(np.sqrt(np.sum((as_points(x, p.n) - np.asarray(bubble.xi)) ** 2)))
     prof = radial_profile(bubble)
 
     def f(r):
@@ -150,28 +140,23 @@ def hls_quotient(bubble: Bubble):
     return d_val ** (1.0 - 1.0 / exp.two_star)
 
 
-def _centered_domain(params: Params, window, m):
-    if params.n == 1:
-        return interval(-window, window, m)
-    if params.n == 2:
-        return rectangle(-window, window, -window, window, m)
-    raise OutOfRange("rescaling to a grid supports n in (1, 2)")
-
-
 def rescale(u: GridField, sup_norm, argmax, params: Params,
-            window=3.0, m_out=241) -> GridField:
+            window=3.0) -> GridField:
     """Blow-up rescaling of a solution sample around its maximum.
 
     v(x) = u(scale * x + argmax) / mu_eps with mu_eps = sup_norm / alpha_ns
-    and scale = mu_eps^{-(2# - 2 - eps)/(2s)}, sampled on a centered window
-    grid by (multi)linear interpolation; v(0) = alpha_ns by construction.
+    and scale = mu_eps^{-(2# - 2 - eps)/(2s)}, sampled on the centered window
+    [-window, window]^n with 241 nodes per axis by (multi)linear
+    interpolation; v(0) = alpha_ns by construction.
     """
     if not sup_norm > 0.0:
         raise DegenerateScale(f"sup_norm must be positive, got {sup_norm}")
     exp = exponents(params)
     mu_eps = sup_norm / unit_w(params).amplitude
     scale = mu_eps ** (-(exp.two_sharp - 2.0 - params.eps) / (2.0 * params.s))
-    out_dom = _centered_domain(params, window, m_out)
+    if params.n not in (1, 2):
+        raise OutOfRange("rescaling to a grid supports n in (1, 2)")
+    out_dom = DomainSpec((-float(window), float(window)) * params.n, 241)
     axes = u.domain.axes()
     coords = [np.clip(scale * xo + c, ax[0], ax[-1])
               for xo, c, ax in zip(out_dom.axes(), argmax, axes)]

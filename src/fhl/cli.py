@@ -108,14 +108,6 @@ def _domain_from_config(cfg):
                     f"got {cfg['domain.kind']!r}")
 
 
-def _regime_from_config(cfg):
-    name = cfg["regime"]
-    for regime in Regime:
-        if regime.value == name:
-            return regime
-    raise WrongType(f"unknown regime {name!r}")
-
-
 def _seed_from_config(cfg):
     spec = cfg["seed"]
     if spec == "first_eigenfunction":
@@ -131,8 +123,7 @@ def _seed_from_config(cfg):
 
 def _solve_setup(cfg, eps):
     """(params, domain, basis, weights, opts) of a config solved at eps."""
-    params = make_params(cfg["n"], cfg["s"], cfg["mu"], eps,
-                         _regime_from_config(cfg))
+    params = make_params(cfg["n"], cfg["s"], cfg["mu"], eps, cfg["regime"])
     domain = _domain_from_config(cfg)
     basis = spectral.build_basis(domain, cfg["modes"])
     weights = riesz.build_weights(domain, solver.kernel_exponent(params))
@@ -239,7 +230,9 @@ def _cmd_bubble(args):
 
 
 def _cmd_robin(args):
-    dom = interval(args.a, args.b, args.grid)
+    # the Green and Robin sums read the modes and the interval, never the
+    # nodes: build_basis's smallest grid for the mode count
+    dom = interval(args.a, args.b, max(16, 2 * args.modes))
     basis = spectral.build_basis(dom, args.modes)
     # sample away from the boundary, where the singularity subtraction is
     # resolvable at the configured mode count
@@ -343,10 +336,12 @@ def _write_summary_csv(path, report):
 
 def _cmd_report(args):
     with open(args.inp) as fh:
-        payload = json.load(fh)
-    report = payload["report"]
+        try:
+            derived = json.load(fh)["report"]["derived"]
+        except (ValueError, LookupError, TypeError):
+            raise WrongType(f"{args.inp} is not JSON with a 'report' key holding "
+                            "'derived', as fhl continuation writes") from None
     os.makedirs(args.out, exist_ok=True)
-    derived = report["derived"]
     eps = [d["eps"] for d in derived]
 
     def emit(name, column):
@@ -441,7 +436,6 @@ def build_parser():
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--modes", type=int, default=20000)
-    p.add_argument("--grid", type=int, default=40000)
     p.add_argument("--samples", type=int, default=33)
     p.add_argument("--out", default="robin.csv")
     p.set_defaults(func=_cmd_robin)

@@ -97,7 +97,7 @@ def _beta(a, b):
     return gamma(a) * gamma(b) / gamma(a + b)
 
 
-def b_big_ns(n, s=None):
+def b_big_ns(n):
     """B_ns = sigma_n INT_0^inf r^{n-1}(1+r^2)^{-n} dr (s enters only the name)."""
     return sigma_n(n) / 2.0 * _beta(n / 2.0, n / 2.0)
 
@@ -154,7 +154,7 @@ _FORMULAS = {
     ConstantKind.BETA_TILDE_NMUS: lambda n, s, mu: beta_tilde_nmus(n, mu, s),
     ConstantKind.GAMMA_NS: lambda n, s, mu: gamma_ns(n, s),
     ConstantKind.KAPPA_S: lambda n, s, mu: kappa_s(s),
-    ConstantKind.B_NS: lambda n, s, mu: b_big_ns(n, s),
+    ConstantKind.B_NS: lambda n, s, mu: b_big_ns(n),
     ConstantKind.M_NS: lambda n, s, mu: m_big_ns(n, s),
     ConstantKind.F_NS: lambda n, s, mu: f_big_ns(n, s),
     ConstantKind.SIGMA_N: lambda n, s, mu: sigma_n(n),

@@ -19,7 +19,7 @@ from .errors import (DegenerateStrip, EmptyInterior, MissingRobin, OutOfRange,
                      QuadratureFailure, SampleTooClose)
 from .grids import DomainSpec, GridField, interpolate
 from .model import Params, Regime, exponents
-from .solver import SolutionRecord, SolveOptions, Seed
+from .solver import SolutionRecord, Seed
 
 
 @dataclass
@@ -38,7 +38,7 @@ class ContinuationReport:
             "mu": self.params.mu,
             "regime": self.params.regime.value,
             "domain": {
-                "kind": self.domain.kind.value,
+                "kind": self.domain.kind,
                 "bounds": list(self.domain.bounds),
                 "grid": self.domain.n_grid,
             },
@@ -77,9 +77,8 @@ def _rate_lhs(params: Params, eps, sup):
     return coeff * eps * sup ** _rate_exponent(params)
 
 
-def continuation(params: Params, domain: DomainSpec, eps_list, opts=None,
-                 basis=None, weights=None, window=3.0,
-                 strip_cells=10) -> ContinuationReport:
+def continuation(params: Params, domain: DomainSpec, eps_list, opts, basis, weights,
+                 window=3.0, strip_cells=10) -> ContinuationReport:
     """Warm-started solves over a strictly decreasing eps schedule."""
     eps_list = [float(e) for e in eps_list]
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
@@ -91,11 +90,6 @@ def continuation(params: Params, domain: DomainSpec, eps_list, opts=None,
                                 strip_margin=strip_cells * max(domain.spacings()))
     if not eps_list:
         return report
-    opts = opts or SolveOptions()
-    if basis is None:
-        basis = spectral.build_basis(domain, domain.n_grid // 4)
-    if weights is None:
-        weights = riesz.build_weights(domain, solver.kernel_exponent(params))
     seed = opts.seed
     for eps in eps_list:
         p_eps = replace(params, eps=eps)
@@ -173,7 +167,7 @@ def rate_law_subcritical(report: ContinuationReport, robin_at_x0):
     b = constants.small_b_ns(n, s)
     alpha = constants.alpha_nmus(n, n - 2.0 * s, s)
     beta = constants.beta_tilde_nmus(n, n - 2.0 * s, s)
-    big_b = constants.b_big_ns(n, s)
+    big_b = constants.b_big_ns(n)
     big_m = constants.m_big_ns(n, s)
     kap = constants.kappa_s(s)
     rhs = ((n - 2.0 * s) ** 2 * gam * b ** 2
@@ -236,12 +230,10 @@ def symmetrization_check(f: GridField, mu, weights):
     A 2-D f must vanish on the boundary, as `riesz.convolve` requires;
     the weights must be for the kernel |x|^{-mu}.
     """
-    solver.check_kernel(weights, mu)
+    solver.check_kernel(weights, mu, f.domain)
     if np.any(f.values < 0.0):
         raise OutOfRange("symmetrization_check expects f >= 0")
     dom = f.domain
-    if weights.domain != dom:
-        raise OutOfRange("weights grid does not match the field")
     w = dom.node_weights()
     conv = riesz.convolve(weights, f)
     lhs_b = 0.5 * float(np.sum(w * f.values * conv.values))
@@ -305,8 +297,8 @@ def pohozaev_balance(record: SolutionRecord, params: Params, basis, weights, r):
     replaced by these computable majorants; the returned gap is
     interior / max(sum, floor).
     """
-    solver.check_kernel(weights, solver.kernel_exponent(params))
     dom = record.grid.domain
+    solver.check_kernel(weights, solver.kernel_exponent(params), dom)
     n, s = params.n, params.s
     p = solver._problem_terms(params)[0]
     q = math.floor(n / s) + 1

@@ -8,7 +8,6 @@ the spectral Gram matrix the identity to rounding.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass
 from functools import reduce
@@ -18,39 +17,32 @@ import numpy as np
 from .errors import GridMismatch, OutOfRange
 
 
-class DomainKind(enum.Enum):
-    INTERVAL = "interval"
-    RECTANGLE = "rectangle"
-
-
 @dataclass(frozen=True)
 class DomainSpec:
     """A supported domain with its grid resolution.
 
-    bounds: (a, b) for an interval, (ax, bx, ay, by) for a rectangle.
+    bounds: (a, b) for an interval, (ax, bx, ay, by) for a rectangle; the
+    dimension is len(bounds) / 2.
     n_grid: nodes per axis, endpoints included; at least 16.
     """
 
-    kind: DomainKind
     bounds: tuple
     n_grid: int
 
     def __post_init__(self):
         if self.n_grid < 16:
             raise OutOfRange(f"grid resolution N >= 16 required, got {self.n_grid}")
-        b = self.bounds
-        if self.kind is DomainKind.INTERVAL:
-            if len(b) != 2 or not b[1] > b[0]:
-                raise OutOfRange(f"interval requires b > a, got {b}")
-        elif self.kind is DomainKind.RECTANGLE:
-            if len(b) != 4 or not (b[1] > b[0] and b[3] > b[2]):
-                raise OutOfRange(f"rectangle requires bx > ax and by > ay, got {b}")
-        else:  # pragma: no cover
-            raise OutOfRange(f"unknown domain kind {self.kind!r}")
+        if len(self.bounds) not in (2, 4) or not all(hi > lo for lo, hi in self.ranges()):
+            raise OutOfRange(f"bounds (a, b) or (ax, bx, ay, by) with each upper "
+                             f"bound above its lower one required, got {self.bounds}")
 
     @property
     def dim(self):
-        return 1 if self.kind is DomainKind.INTERVAL else 2
+        return len(self.bounds) // 2
+
+    @property
+    def kind(self):
+        return "interval" if self.dim == 1 else "rectangle"
 
     @property
     def shape(self):
@@ -130,6 +122,17 @@ class GridField:
         return tuple(float(x[i]) for x, i in zip(self.domain.axes(), idx))
 
 
+def as_points(x, dim):
+    """x as a float array whose last axis holds dim coordinates; a scalar
+    is a point of an interval."""
+    pts = np.asarray(x, dtype=float)
+    pts = pts.reshape(1) if pts.shape == () and dim == 1 else pts
+    if pts.shape[-1:] != (dim,):
+        raise OutOfRange(f"expected points with {dim} coordinate(s), the domain "
+                         f"dimension, got {x!r}")
+    return pts
+
+
 def interpolate(field: GridField, points):
     """Multilinear interpolation of field at points, whose last axis holds
     one coordinate per grid axis; returns an array of shape points.shape[:-1].
@@ -141,9 +144,7 @@ def interpolate(field: GridField, points):
     the domain or with a NaN coordinate.
     """
     dom = field.domain
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[-1:] != (dom.dim,):
-        raise OutOfRange(f"expected points with {dom.dim} coordinate(s), got {pts!r}")
+    pts = as_points(points, dom.dim)
     outside = np.zeros(pts.shape[:-1], dtype=bool)
     cells, fracs = [], []
     for k, ax in enumerate(dom.axes()):
@@ -166,9 +167,8 @@ def interpolate(field: GridField, points):
 
 
 def interval(a, b, n_grid) -> DomainSpec:
-    return DomainSpec(DomainKind.INTERVAL, (float(a), float(b)), int(n_grid))
+    return DomainSpec((float(a), float(b)), int(n_grid))
 
 
 def rectangle(ax, bx, ay, by, n_grid) -> DomainSpec:
-    return DomainSpec(DomainKind.RECTANGLE,
-                      (float(ax), float(bx), float(ay), float(by)), int(n_grid))
+    return DomainSpec((float(ax), float(bx), float(ay), float(by)), int(n_grid))

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import riesz
 from .bubbles import Bubble, BubbleFamily, eval_bubble, unit_w
-from .errors import (NoConvergence, OutOfRange, PositivityLost, ResonantEps,
-                     ZeroField)
+from .errors import (GridMismatch, NoConvergence, OutOfRange, PositivityLost,
+                     ResonantEps, ZeroField)
 from .grids import DomainSpec, GridField
 from .model import Params, Regime, exponents
 from .riesz import RieszWeights
@@ -136,10 +136,14 @@ def kernel_exponent(params: Params):
     return _problem_terms(params)[1]
 
 
-def check_kernel(weights: RieszWeights, mu):
-    """Raise OutOfRange unless the weights are for the kernel |x|^{-mu}."""
+def check_kernel(weights: RieszWeights, mu, domain: DomainSpec):
+    """Raise OutOfRange unless the weights are for the kernel |x|^{-mu}, and
+    GridMismatch unless they are for the grid of domain."""
     if abs(weights.mu - mu) > 1e-12:
         raise OutOfRange(f"weights built for mu = {weights.mu}, equation needs {mu}")
+    if weights.domain != domain:
+        raise GridMismatch(f"weights built for the grid {weights.domain}, "
+                           f"the field lives on {domain}")
 
 
 def _relative_defect(a, denom, b):
@@ -290,7 +294,7 @@ def _solve(params: Params, domain: DomainSpec, basis: EigenBasis,
     """The solve body of both regimes, after their own parameter checks."""
     opts = opts or SolveOptions()
     p, mu, shift = _problem_terms(params)
-    check_kernel(weights, mu)
+    check_kernel(weights, mu, domain)
     denom = basis.lambdas ** params.s - shift
     vals, coeffs, res, it = _solve_fixed_point(params, domain, basis, weights,
                                                opts, p, denom)
@@ -351,9 +355,10 @@ def residual(u: GridField, params: Params, basis: EigenBasis,
 
     Zero for exact discrete solutions; defined as 0.0 for the zero field.
     """
+    p, mu, eps = _problem_terms(params)
+    check_kernel(weights, mu, u.domain)
     if not np.any(u.values):
         return 0.0
-    p, _, eps = _problem_terms(params)
     a = analysis(basis, u).coeffs
     denom = basis.lambdas ** params.s - eps
     b = analysis(basis, GridField(u.domain,
@@ -369,12 +374,13 @@ def energy_quotient(u: GridField, params: Params, basis: EigenBasis,
     p = 2# - 1 - eps with kernel exponent n - 2s, the Brezis-Nirenberg
     quotient uses p = 2* with the configured mu.
     """
+    p, mu, _ = _problem_terms(params)
+    check_kernel(weights, mu, u.domain)
     if not np.any(u.values):
         raise ZeroField("energy quotient of the zero field")
-    p, mu, _ = _problem_terms(params)
     a = analysis(basis, u).coeffs
     num = float(np.sum(a ** 2 * basis.lambdas ** params.s))
     up = np.maximum(u.values, 0.0) ** p
-    conv = riesz.convolve(weights, GridField(weights.domain, up)).values
+    conv = riesz.convolve(weights, GridField(u.domain, up)).values
     dbl = float(np.sum(u.domain.node_weights() * up * conv))
     return num / dbl ** (1.0 / p)

@@ -31,6 +31,7 @@ exactly even field.  The dense `sine_tables` products stay as the oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -40,7 +41,7 @@ import numpy as np
 from . import constants
 from .errors import (DiagonalEvaluation, ExtrapolationDiverged,
                      NoCriticalPoint, OutOfRange, UnderResolved)
-from .grids import DomainSpec, GridField
+from .grids import DomainSpec, GridField, as_points
 
 _MAX_SAMPLED = 1 << 25   # cap on the entries of the sampled sine tables
 _MOLL_C = 8.0            # Gaussian mollifier strength exp(-c (lam/lamK)^2)
@@ -55,10 +56,6 @@ class EigenBasis:
     K: int
     lambdas: np.ndarray               # sorted ascending
     modes: np.ndarray                 # (K,) k indices or (K,2) (kx,ky) pairs
-    _sine_tables: tuple | None = field(default=None, init=False, repr=False,
-                                       compare=False)
-    _folded: tuple | None = field(default=None, init=False, repr=False,
-                                  compare=False)
     # per-s mode arrays of the Green sums, filled by _green_arrays
     _green_cache: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
@@ -109,6 +106,7 @@ class EigenBasis:
                 np.outer(k, (x[cols] - lo)) * math.pi / length))
         return tables
 
+    @functools.cached_property
     def sine_tables(self):
         """Per-axis sampled sine modes k = 1 .. k_max (k_max x N).
 
@@ -117,13 +115,12 @@ class EigenBasis:
         the DST-I transforms; on a rectangle they are the dense oracle of
         the folded transforms.
         """
-        if self._sine_tables is None:
-            tables = self._sampled_sines(np.arange(self.domain.n_grid))
-            for table in tables:
-                table[:, [0, -1]] = 0.0
-            self._sine_tables = tuple(tables)
-        return self._sine_tables
+        tables = self._sampled_sines(np.arange(self.domain.n_grid))
+        for table in tables:
+            table[:, [0, -1]] = 0.0
+        return tuple(tables)
 
+    @functools.cached_property
     def _folded_tables(self):
         """Per-axis half tables of the folded rectangle transforms, and the
         position of each mode in their parity-sorted coefficient box.
@@ -133,17 +130,15 @@ class EigenBasis:
         and the even-k rows at j = 1 .. h - 1.  The box is (kx, ky) with
         the odd k of each axis before its even k.
         """
-        if self._folded is None:
-            n = self.domain.n_grid
-            h = n // 2
-            tables = self._sampled_sines(np.arange(1, h + n % 2))
-            halves = tuple((np.ascontiguousarray(t[0::2]),
-                            np.ascontiguousarray(t[1::2, :h - 1])) for t in tables)
-            _, (odd_y, even_y) = halves
-            pos = [(k - 1) // 2 + (k % 2 == 0) * len(odd)
-                   for k, (odd, _) in zip(self._axis_modes(), halves)]
-            self._folded = halves + (pos[0] * (len(odd_y) + len(even_y)) + pos[1],)
-        return self._folded
+        n = self.domain.n_grid
+        h = n // 2
+        tables = self._sampled_sines(np.arange(1, h + n % 2))
+        halves = tuple((np.ascontiguousarray(t[0::2]),
+                        np.ascontiguousarray(t[1::2, :h - 1])) for t in tables)
+        _, (odd_y, even_y) = halves
+        pos = [(k - 1) // 2 + (k % 2 == 0) * len(odd)
+               for k, (odd, _) in zip(self._axis_modes(), halves)]
+        return halves + (pos[0] * (len(odd_y) + len(even_y)) + pos[1],)
 
 
 @dataclass
@@ -308,7 +303,7 @@ def _synthesize(basis: EigenBasis, coeffs):
         vals = np.zeros(n)   # exact zeros at the two Dirichlet nodes
         vals[1:-1] = _dst1(padded, _dst_scale(basis.domain))
         return vals
-    (odd_x, even_x), (odd_y, even_y), pos = basis._folded_tables()
+    (odd_x, even_x), (odd_y, even_y), pos = basis._folded_tables
     kx_odd, ky_odd = len(odd_x), len(odd_y)
     box = np.zeros((kx_odd + len(even_x), ky_odd + len(even_y)))
     box.ravel()[pos] = coeffs
@@ -322,7 +317,7 @@ def _analyze(basis: EigenBasis, values):
     if basis.dim == 1:
         h = basis.domain.spacings()[0]
         return _dst1(values[1:-1], h * _dst_scale(basis.domain))[:basis.K]
-    (odd_x, even_x), (odd_y, even_y), pos = basis._folded_tables()
+    (odd_x, even_x), (odd_y, even_y), pos = basis._folded_tables
     plus, minus = _fold(values, 0)
     rows = np.concatenate([odd_x @ plus, _product(even_x, minus)])
     plus, minus = _fold(rows, 1)
@@ -355,7 +350,7 @@ def gram_defect(basis: EigenBasis):
     """Max |Gram - I| entry of the sampled modes under the trapezoid product,
     the product over axes of the per-axis Grams."""
     g = 1.0
-    for table, w, k in zip(basis.sine_tables(), basis.domain.trap_weights(),
+    for table, w, k in zip(basis.sine_tables, basis.domain.trap_weights(),
                            basis._axis_modes()):
         gram = table @ (w[:, None] * table.T)
         g = g * gram[np.ix_(k - 1, k - 1)]
@@ -410,12 +405,10 @@ def _box_sines(domain: DomainSpec, axis, k_top, x):
 
 
 def _as_point(x, dim):
-    """x as a tuple of dim floats; a scalar is a point of an interval."""
-    p = np.atleast_1d(np.asarray(x, dtype=float))
-    if p.shape != (dim,):
-        raise OutOfRange(
-            f"expected a point with {dim} coordinate(s) matching the domain "
-            f"dimension, got {x!r}")
+    """x as a tuple of dim floats: one point, not an array of them."""
+    p = as_points(x, dim)
+    if p.ndim != 1:
+        raise OutOfRange(f"expected one point, got {x!r}")
     return tuple(float(v) for v in p)
 
 

@@ -98,6 +98,8 @@ def test_point_shape_rejected_in_2d(params_251, x):
         bubbles.eval_bubble(bub, x)
     with pytest.raises(OutOfRange):
         bubbles.kelvin(lambda y: 1.0, params_251)(x)
+    with pytest.raises(OutOfRange, match="domain dimension"):
+        bubbles.convolution_identity_lhs_rhs(bub, x)
 
 
 def test_point_shapes_accepted(params_251):
@@ -194,12 +196,12 @@ def test_rescale_inverts_bubble_scaling(dom, s, mu, eps):
     lam = mu_eps ** ((exp.two_sharp - 2 - p.eps) / (2 * p.s))
     u_vals = alpha * mu_eps * (1.0 / (1.0 + lam ** 2 * r2)) ** ((n - 2.0 * s) / 2.0)
     u = GridField(dom, u_vals)
-    v = bubbles.rescale(u, alpha * mu_eps, (0.5,) * n, p, window=2.0, m_out=201)
-    assert v.values.shape == (201,) * n
+    v = bubbles.rescale(u, alpha * mu_eps, (0.5,) * n, p, window=2.0)
+    assert v.values.shape == (241,) * n
     d = bubbles.profile_distance(v, p, 2.0)
     # interpolation modulus of the coarse source grid
     assert d < 5e-4
-    assert abs(v.values[(100,) * n] - alpha) < 1e-12  # v(0) = alpha by construction
+    assert abs(v.values[(120,) * n] - alpha) < 1e-12  # v(0) = alpha by construction
 
 
 def test_rescale_1d_matches_np_interp():
@@ -210,7 +212,7 @@ def test_rescale_1d_matches_np_interp():
     u = GridField(dom, np.sin(3.0 * x) ** 2 + 0.1 + 0.01 * x)
     alpha = constants.alpha_nmus(1, 0.4, 0.3)
     mu_eps, argmax = 1.15, (0.9,)        # scale ~ 0.5: the window overhangs
-    v = bubbles.rescale(u, mu_eps * alpha, argmax, p, window=3.0, m_out=241)
+    v = bubbles.rescale(u, mu_eps * alpha, argmax, p, window=3.0)
     scale = mu_eps ** (-(exponents(p).two_sharp - 2.0 - p.eps) / (2.0 * p.s))
     xx = np.clip(scale * v.domain.axes()[0] + argmax[0], x[0], x[-1])
     assert np.any(xx == x[0]) and np.any(xx == x[-1])   # both clips engage

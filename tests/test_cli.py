@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from fhl import spectral
 from fhl.cli import _write_solution_csv, parse_config, run_command, serialize_config
 from fhl.errors import MissingRequired, UnknownKey, WrongType
 from fhl.grids import GridField, interval, rectangle
@@ -147,6 +148,58 @@ def test_report_emission(tmp_path):
         assert (tmp_path / "plots" / f"{name}.csv").exists()
         svg = (tmp_path / "plots" / f"{name}.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+
+def test_report_of_another_file_is_typed_error(tmp_path, capsys):
+    """A solve.json (no 'report' key), a file that is not JSON and a report
+    with no 'derived' each exit 1 with one JSON line naming the file; each
+    died with a traceback before."""
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(GOOD)
+    assert run_command(["solve", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    not_json = tmp_path / "summary.csv"
+    not_json.write_text("eps,mu_eps\n0.4,1.2\n")
+    no_derived = tmp_path / "report.json"
+    no_derived.write_text('{"report": {}}\n')
+    capsys.readouterr()
+    for path in (tmp_path / "solve.json", not_json, no_derived):
+        assert run_command(["report", "--in", str(path),
+                            "--out", str(tmp_path / "plots")]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith("\n") and err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "WrongType"
+        assert str(path) in payload["message"] and "'report'" in payload["message"]
+    assert not (tmp_path / "plots").exists()
+
+
+def test_robin_table(tmp_path):
+    """fhl robin writes one row per sample, phi is robin_detail at the same
+    x (on a basis of another grid: the sums never read the nodes), and the
+    grid is no option."""
+    out = tmp_path / "robin.csv"
+    assert run_command(["robin", "--s", "0.3", "--modes", "200", "--samples", "5",
+                        "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["x", "phi", "tail_estimate", "extrapolation_spread"]
+    assert len(rows) == 6
+    basis = spectral.build_basis(interval(0.0, 1.0, 1001), 200)
+    for x, row in zip(np.linspace(0.05, 0.95, 5), rows[1:]):
+        phi = spectral.robin_detail(basis, 0.3, (float(x),))[0]
+        assert row[:2] == ["%.12g" % x, "%.12g" % phi]
+    with pytest.raises(SystemExit):
+        run_command(["robin", "--s", "0.3", "--grid", "400"])
+
+
+def test_unknown_regime_names_the_accepted(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(GOOD.replace("regime=subcritical", "regime=critical"))
+    assert run_command(["solve", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "out")]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "OutOfRange"
+    assert "'critical'" in payload["message"] and "brezis_nirenberg" in payload["message"]
 
 
 def test_solve_rectangle_csv(tmp_path):

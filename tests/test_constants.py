@@ -120,7 +120,7 @@ def test_quadrature_constants_vs_midpoint_oracle():
     rr = t / (1.0 - t)
     b_mid = C.sigma_n(n) * np.sum(rr ** (n - 1) / (1 + rr ** 2) ** n
                                   / (1 - t) ** 2) / 1_000_000
-    assert abs(C.b_big_ns(n, s) / b_mid - 1.0) < 1e-7
+    assert abs(C.b_big_ns(n) / b_mid - 1.0) < 1e-7
     # M via the substitution u = w^{1/(1-s)} that removes the endpoint
     # singularity exactly, leaving a smooth midpoint integrand
     u = r ** (1.0 / (1.0 - s))

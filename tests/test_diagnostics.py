@@ -4,12 +4,13 @@ import re
 import numpy as np
 import pytest
 
-from fhl import constants, diagnostics, riesz, spectral
+from fhl import constants, diagnostics, riesz, solver, spectral
 from fhl.diagnostics import ContinuationReport
 from fhl.errors import (DegenerateStrip, MissingRobin, OutOfRange,
                         SampleTooClose)
 from fhl.grids import GridField, interval, rectangle
 from fhl.model import Regime, make_params
+from fhl.solver import SolveOptions
 from oracles import moment_double_2d_fftconvolve
 
 
@@ -71,17 +72,24 @@ def test_eps_bound_single_record(params1):
     assert bounded
 
 
+def _sweep_setup(params, dom):
+    """(opts, basis, weights) of a continuation on dom."""
+    return (SolveOptions(), spectral.build_basis(dom, 16),
+            riesz.build_weights(dom, solver.kernel_exponent(params)))
+
+
 def test_continuation_validates_schedule(params1):
     dom = interval(0, 1, 64)
+    setup = _sweep_setup(params1, dom)
     with pytest.raises(OutOfRange):
-        diagnostics.continuation(params1, dom, [0.1, 0.2])
+        diagnostics.continuation(params1, dom, [0.1, 0.2], *setup)
     with pytest.raises(OutOfRange):
-        diagnostics.continuation(params1, dom, [0.2, -0.1])
+        diagnostics.continuation(params1, dom, [0.2, -0.1], *setup)
 
 
 def test_continuation_empty(params1):
     dom = interval(0, 1, 64)
-    rep = diagnostics.continuation(params1, dom, [])
+    rep = diagnostics.continuation(params1, dom, [], *_sweep_setup(params1, dom))
     assert rep.records == [] and rep.derived == []
 
 
@@ -114,7 +122,7 @@ def test_rate_law_rhs_composition_n1_s03():
                 / (2 * constants.kappa_s(s)
                    * constants.alpha_nmus(n, n - 2 * s, s) ** 2
                    * constants.beta_tilde_nmus(n, n - 2 * s, s)
-                   * constants.b_big_ns(n, s))
+                   * constants.b_big_ns(n))
                 * constants.m_big_ns(n, s))
     assert abs(rhs / expected - 1.0) < 1e-12
     assert rhs > 0.0

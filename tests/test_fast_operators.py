@@ -77,7 +77,7 @@ def test_moment_apply_matches_dense(n, mu, length, seed):
 def test_sine_transforms_match_phi_grid(n, frac, length, seed):
     dom = interval(-0.5, length - 0.5, n)
     basis = spectral.build_basis(dom, 1 + int(frac * (n // 2 - 1)))
-    phi = basis.sine_tables()[0]
+    phi = basis.sine_tables[0]
     rng = np.random.default_rng(seed)
     u = rng.normal(size=n)
     u[0] = u[-1] = 0.0
@@ -103,7 +103,7 @@ def test_folded_rectangle_transforms_match_dense(n, aspect, frac, seed):
     sx (wx U wy) sy^T and sx^T A sy, to 1e-13 of the sum of |terms|."""
     dom = rectangle(-0.3, 0.7, 0.1, 0.1 + aspect, n)
     basis = spectral.build_basis(dom, 1 + int(frac * ((n // 2) ** 2 - 1)))
-    sx, sy = basis.sine_tables()
+    sx, sy = basis.sine_tables
     kx, ky = basis.modes[:, 0] - 1, basis.modes[:, 1] - 1
     rng = np.random.default_rng(seed)
     u = rng.normal(size=(n, n))
@@ -148,7 +148,7 @@ def test_moment_apply_at_4096(grid_4096):
 def test_sine_transforms_at_4096(grid_4096):
     dom, f = grid_4096
     basis = spectral.build_basis(dom, 1024)
-    phi = basis.sine_tables()[0]
+    phi = basis.sine_tables[0]
     w = dom.trap_weights()[0]
     u = f.copy()
     u[0] = u[-1] = 0.0

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fhl import constants, riesz, solver, spectral
-from fhl.errors import NoConvergence, OutOfRange, ResonantEps, ZeroField
+from fhl.errors import (GridMismatch, NoConvergence, OutOfRange, ResonantEps,
+                        ZeroField)
 from fhl.grids import GridField, interval, rectangle
 from fhl.model import Regime, exponents, make_params
 from fhl.solver import Seed, SolveOptions
@@ -97,6 +98,28 @@ def test_energy_quotient_zero_field(small_setup):
     with pytest.raises(ZeroField):
         solver.energy_quotient(GridField(dom, np.zeros(dom.n_grid)),
                                params, basis, weights)
+
+
+@pytest.mark.parametrize("name", ["solve", "residual", "energy_quotient",
+                                  "symmetrization_check", "pohozaev_balance"])
+def test_weights_for_another_grid_rejected(small_setup, small_record, name):
+    """Weights built on [0, 2] for fields on [0, 1]: unchecked, the solve
+    converged to sup 1.8676 (2.0171 with the right weights) and the
+    residual of the right solution read 0.340."""
+    from fhl import diagnostics
+    params, dom, basis, _ = small_setup
+    other = riesz.build_weights(interval(0.0, 2.0, 256), 0.4)
+    u = small_record.grid
+    calls = {
+        "solve": lambda: solver.solve(params, dom, basis, other, SolveOptions(theta=1.0)),
+        "residual": lambda: solver.residual(u, params, basis, other),
+        "energy_quotient": lambda: solver.energy_quotient(u, params, basis, other),
+        "symmetrization_check": lambda: diagnostics.symmetrization_check(u, 0.4, other),
+        "pohozaev_balance": lambda: diagnostics.pohozaev_balance(
+            small_record, params, basis, other, 0.2),
+    }
+    with pytest.raises(GridMismatch, match="weights built for the grid"):
+        calls[name]()
 
 
 def test_energy_quotient_phi1_against_brute_force(small_setup):
