@@ -166,6 +166,23 @@ def interpolate(field: GridField, points):
     return out
 
 
+def even_half(vals):
+    """The first M = N/2 nodes per axis of vals when N is even and vals
+    equals its flip on every axis exactly, with no tolerance; else None."""
+    m, odd = divmod(vals.shape[0], 2)
+    if odd or not all(np.array_equal(v[:m], v[:m - 1:-1])
+                      for v in (np.moveaxis(vals, ax, 0) for ax in range(vals.ndim))):
+        return None
+    return vals[(slice(m),) * vals.ndim]
+
+
+def mirror(half):
+    """The exactly even field of 2M nodes per axis whose `even_half` is half."""
+    for axis in range(half.ndim):
+        half = np.concatenate([half, np.flip(half, axis)], axis)
+    return half
+
+
 def interval(a, b, n_grid) -> DomainSpec:
     return DomainSpec((float(a), float(b)), int(n_grid))
 

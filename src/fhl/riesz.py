@@ -22,12 +22,12 @@ Every table (the 1-D Riesz and odd moment generators, the 2-D offset
 table and moment kernels) takes one FFT convolution: its `_spectrum`, and
 `_fft_apply`, which keeps outputs N-1 .. 2N-2 along each axis.
 
-In 1-D and 2-D, a field on an even grid that equals its flip on every
-axis exactly, with no tolerance, takes a half-grid symmetric convolution
-instead (`_even_apply`): per axis a Toeplitz product with the table's
-near window plus a Hankel product with its far window, both from one FFT
-of the half at half the full apply's length.  Its output is exactly even;
-every other field takes the full apply, which is its oracle.
+In 1-D and 2-D, an exactly even Dirichlet field on an even grid takes a
+half-grid symmetric convolution (`_even_apply`) from and to its first
+M = N/2 nodes per axis.  The Picard loop decides the parity once per solve
+and hands `_convolve` the half (1-D) or quarter (2-D); `convolve` detects
+it per call (`grids.even_half`) and mirrors the exactly even output.
+Every other field takes the full apply, the oracle of `_even_apply`.
 Documented accuracy is O(h) near the singularity, which is what the
 desk-scale solver configurations need.
 
@@ -57,7 +57,7 @@ import numpy as np
 from .constants import sigma_n
 from .errors import (DivergentTail, GridMismatch, KernelNotIntegrable,
                      OutOfRange, QuadratureFailure)
-from .grids import DomainSpec, GridField
+from .grids import DomainSpec, GridField, even_half, mirror
 
 _MAX_GRID_2D = 512
 
@@ -94,13 +94,12 @@ class RieszWeights:
 
     @functools.cached_property
     def spectrum(self):
-        """`_spectrum(offsets)`, at the first field `_even_apply` skips."""
+        """`_spectrum(offsets)`, at the first full apply."""
         return _spectrum(self.offsets)
 
     @functools.cached_property
     def even_spectrum(self):
-        """The window spectra of `_even_apply`, from offsets at the first
-        exactly even field (even N)."""
+        """The window spectra of `_even_apply`, at the first half apply."""
         return _even_spectrum(self.offsets)
 
 
@@ -236,9 +235,9 @@ def _fft_apply(spectrum, values):
     return _inverse(spec, real, n - 1)[..., n - 1:2 * n - 1].copy()
 
 
-def _even_apply(even_spectrum, values):
-    """`_fft_apply` of the table on one field of N nodes per axis (N even)
-    that is even on every axis, from its first M = N/2 nodes per axis.
+def _even_apply(even_spectrum, half):
+    """`_fft_apply` of the table on one field of N = 2M nodes per axis that
+    is even on every axis, from and to its first M nodes per axis.
 
     Along an axis, out[i] = sum_{k<M} (T(k-i) + T(N-1-k-i)) f[k] for i < M:
     a Toeplitz product with the near window of `_even_spectrum` plus a
@@ -246,19 +245,16 @@ def _even_apply(even_spectrum, values):
     reversed half.  The reversed half's spectrum is the half's conjugated
     along the last axis and index-flipped along the other, the phase being
     in the stored spectrum: one forward FFT of length L = _fft_len(M) per
-    axis, 2^dim products and one pruned inverse.  The half is mirrored
-    into the full field, so the output is exactly even.
+    axis, 2^dim products and one pruned inverse.
     """
-    n = values.shape[-1]
-    m = n // 2
+    m = half.shape[-1]
     size = _fft_len(m)
-    if values.ndim == 1:
+    if half.ndim == 1:
         near, far = even_spectrum
-        spec = np.fft.rfft(values[:m], size)
-        half = np.fft.irfft(spec * near + spec.conj() * far, size)[:m]
-        return np.concatenate([half, half[::-1]])
+        spec = np.fft.rfft(half, size)
+        return np.fft.irfft(spec * near + spec.conj() * far, size)[:m]
     near, near_far, far_near, far = even_spectrum
-    spec, real = _forward(values[:m, :m], size, m)
+    spec, real = _forward(half, size, m)
     # in place, in two temporaries: fresh ones cost more than the products
     flip = spec[-np.arange(size) % size]   # reversed along the first axis
     term = np.conjugate(spec)
@@ -270,26 +266,7 @@ def _even_apply(even_spectrum, values):
     np.conjugate(flip, out=flip)
     flip *= near_far
     spec += flip
-    quarter = _inverse(spec, real, 0)[:, :m]
-    out = np.empty((n, n))
-    out[:m, :m] = quarter
-    out[:m, m:] = quarter[:, ::-1]
-    out[m:] = out[m - 1::-1]
-    return out
-
-
-def _table_apply(weights: RieszWeights, vals):
-    """The offset-table term of `_convolve`: `_even_apply` on one field of
-    an even grid that equals its flip on every axis exactly, else
-    `_fft_apply`."""
-    m = weights.domain.n_grid // 2
-    # each axis in turn leads (vals, then its transpose): the first M nodes
-    # along it must mirror the last M
-    if (vals.ndim == weights.domain.dim and weights.domain.n_grid % 2 == 0
-            and all(np.array_equal(v[:m], v[:m - 1:-1])
-                    for v in (vals, vals.T)[:vals.ndim])):
-        return _even_apply(weights.even_spectrum, vals)
-    return _fft_apply(weights.spectrum, vals)
+    return _inverse(spec, real, 0)[:, :m]
 
 
 # --------------------------------------------------------------------------
@@ -380,18 +357,27 @@ def build_weights(domain: DomainSpec, mu) -> RieszWeights:
 
 
 def convolve(weights: RieszWeights, f: GridField) -> GridField:
-    """Pointwise values of (|.|^{-mu} * f) over the domain; linear in f."""
+    """Pointwise values of (|.|^{-mu} * f) over the domain; linear in f.
+    An exactly even Dirichlet f on an even grid (`grids.even_half`) takes
+    the half apply, and its output is exactly even."""
     if f.domain != weights.domain:
         raise GridMismatch("field grid does not match the weights' grid")
-    return GridField(weights.domain, _convolve(weights, f.values))
+    half = even_half(f.values)
+    if half is None or half[0].any() or half[..., 0].any():
+        return GridField(weights.domain, _convolve(weights, f.values))
+    return GridField(weights.domain, mirror(_convolve(weights, half)))
 
 
 def _convolve(weights: RieszWeights, vals):
     """The array-level body of `convolve` on values of the weights' grid,
-    which does not validate its input or its output, except that a 2-D
-    field must vanish on the boundary."""
+    with no parity detection, which does not validate its input or its
+    output, except that a 2-D field must vanish on the boundary.  Values
+    of M = N/2 nodes per axis (N even) are the first M of an exactly even
+    Dirichlet field, and so is the output: `_even_apply`, unchecked."""
+    if vals.shape[-1] == weights.domain.n_grid // 2:
+        return _even_apply(weights.even_spectrum, vals)
     if weights.domain.dim == 1:
-        out = _table_apply(weights, vals)
+        out = _fft_apply(weights.spectrum, vals)
         # the end columns carry half hats; a Dirichlet field has none
         if vals[..., 0].any() or vals[..., -1].any():
             out = out + vals[..., :1] * weights.edge_x + vals[..., -1:] * weights.edge_y
@@ -403,7 +389,7 @@ def _convolve(weights: RieszWeights, vals):
         raise OutOfRange("the 2-D Riesz apply takes Dirichlet fields only "
                          "(u = 0 on and off the boundary); this field is "
                          "nonzero on the boundary")
-    return _table_apply(weights, vals)
+    return _fft_apply(weights.spectrum, vals)
 
 
 # --------------------------------------------------------------------------

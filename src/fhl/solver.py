@@ -19,7 +19,7 @@ from . import riesz
 from .bubbles import Bubble, BubbleFamily, eval_bubble, unit_w
 from .errors import (GridMismatch, NoConvergence, OutOfRange, PositivityLost,
                      ResonantEps, ZeroField)
-from .grids import DomainSpec, GridField
+from .grids import DomainSpec, GridField, even_half, mirror
 from .model import Params, Regime, exponents
 from .riesz import RieszWeights
 from .spectral import (EigenBasis, SpectralField, _analyze, _synthesize,
@@ -159,7 +159,8 @@ def _relative_defect(a, denom, b):
 def _nonlinear_rhs(weights: RieszWeights, u_vals, p):
     """(|x|^{-mu} * u^p) u^{p-1} on the grid, clamping negative ripple;
     u^p is formed as u^{p-1} u, so each call takes one power.  Values in
-    and out are plain arrays, not validated."""
+    and out are plain arrays, not validated: the whole grid, or the first
+    N/2 nodes per axis of an exactly even field (`riesz._convolve`)."""
     pos = np.maximum(u_vals, 0.0)
     tail = pos ** (p - 1.0)
     return riesz._convolve(weights, tail * pos) * tail
@@ -207,6 +208,11 @@ def _solve_fixed_point(params, domain, basis, weights, opts, p, denom):
     The step works on plain arrays: a non-finite value anywhere reaches
     every coefficient and so the scalars m and res, which are checked
     instead of the fields.
+
+    The parity is decided once, on the seed: from an exactly even seed on
+    an even grid every iterate is exactly even, so the loop holds the first
+    N/2 nodes per axis (`grids.even_half`), steps with the half transforms
+    and Riesz apply, and mirrors the last iterate.
     """
     degree = 2.0 * p - 1.0
     u = _seed_values(opts.seed, params, domain, basis)
@@ -214,14 +220,16 @@ def _solve_fixed_point(params, domain, basis, weights, opts, p, denom):
     if not top > 0.0:
         raise OutOfRange(f"{opts.seed.kind} seed has no positive value "
                          f"(max {top:.3e})")
-    u = u / top
-    a = analysis(basis, GridField(domain, u)).coeffs
+    u = GridField(domain, u / top).values
+    half = even_half(u)
+    u = u if half is None else half
+    a = _analyze(basis, u)
     res = math.inf
     m = 1.0
     it = 0
     for it in range(opts.max_iter):
         b = _analyze(basis, _nonlinear_rhs(weights, u, p))
-        v = _synthesize(basis, b / denom)
+        v = _synthesize(basis, b / denom, half is not None)
         m = float(np.max(v))
         if not math.isfinite(m):
             raise OutOfRange("field values must be finite")
@@ -241,7 +249,7 @@ def _solve_fixed_point(params, domain, basis, weights, opts, p, denom):
             u /= top
             a = ((1.0 - opts.theta) * a + opts.theta * b / (denom * m)) / top
     t = m ** (-1.0 / (degree - 1.0))
-    return t * u, t * a, res, it
+    return t * (u if half is None else mirror(u)), t * a, res, it
 
 
 def _parabolic_peak(vals, idx):
@@ -361,8 +369,9 @@ def residual(u: GridField, params: Params, basis: EigenBasis,
         return 0.0
     a = analysis(basis, u).coeffs
     denom = basis.lambdas ** params.s - eps
-    b = analysis(basis, GridField(u.domain,
-                                  _nonlinear_rhs(weights, u.values, p))).coeffs
+    pos = np.maximum(u.values, 0.0)
+    conv = riesz.convolve(weights, GridField(u.domain, pos ** p)).values
+    b = analysis(basis, GridField(u.domain, conv * pos ** (p - 1.0))).coeffs
     return _relative_defect(a, denom, b)
 
 

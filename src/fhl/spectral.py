@@ -14,19 +14,17 @@ vectors.  `_robin_landscape` is the one Robin evaluator: `robin`,
 `robin_detail` and `robin_critical_points` all take their values from it,
 one point or a whole grid of them, in either dimension.
 
-Analysis and synthesis are a DST-I on an interval, computed from one numpy
-real FFT through the symmetric-extension view of the sine transforms
+Analysis and synthesis are a DST-I on an interval, computed from numpy
+real FFTs through the symmetric-extension view of the sine transforms
 (Martucci, IEEE Trans. Signal Process. 42 (1994)), so the module needs no
-SciPy.  On an even grid that FFT runs over one row instead of two when
-the field is exactly even or the coefficients are exactly zero on every
-even k, which writes exact zeros on the even k and synthesizes an exactly
-even field.  On a rectangle they are parity-folded products: the sampled
-modes are mirror-symmetric, so each axis takes two half-size products, one
-with the odd-k rows on mirror sums and one with the even-k rows on mirror
-differences.  Synthesis is exactly zero on all four edges.  A block whose
-folded input is exactly zero is skipped, so an exactly even field has
-exactly zero even-k coefficients and odd-k coefficients synthesize an
-exactly even field.  The dense `sine_tables` products stay as the oracle.
+SciPy, and parity-folded products on a rectangle.  An exactly even field
+on an even grid is held by its first M = N/2 nodes per axis, the half
+(1-D) or quarter (2-D), which the half transforms read and write: its
+even-k coefficients are exactly zero, and odd-k coefficients alone
+synthesize an exactly even field.  The Picard loop decides the parity
+once per solve and calls them itself; `analysis` and `synthesis` detect it
+per call, for every other caller.  The dense `sine_tables` products stay
+as the oracle.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import numpy as np
 from . import constants
 from .errors import (DiagonalEvaluation, ExtrapolationDiverged,
                      NoCriticalPoint, OutOfRange, UnderResolved)
-from .grids import DomainSpec, GridField, as_points
+from .grids import DomainSpec, GridField, as_points, even_half, mirror
 
 _MAX_SAMPLED = 1 << 25   # cap on the entries of the sampled sine tables
 _MOLL_C = 8.0            # Gaussian mollifier strength exp(-c (lam/lamK)^2)
@@ -196,7 +194,13 @@ def build_basis(domain: DomainSpec, K) -> EigenBasis:
 # sampled modes sqrt(2/L) sin(k pi j / (N-1)) vanish at both ends, so both
 # transforms are a DST-I on the N - 2 interior nodes (`_dst1`); any
 # K <= N - 2 leading modes are orthonormal under the trapezoid product,
-# hence analysis(synthesis(a)) = a.
+# hence analysis(synthesis(a)) = a.  On an even grid P = N - 1 is odd,
+# and with k' = k + 1 the DST-I of z = (0, x) splits by the parity of k':
+# k' = 2m reads -2 Im rfft_P(z)_m, and k' = P - 2m reads -2 Im rfft_P(z')_m
+# with z'_j = (-1)^(j+1) z_j, since sin(pi (P - 2m) j / P) = (-1)^(j+1)
+# sin(2 pi m j / P).  The half transforms take one row each: a mirror-
+# symmetric x is zero at every even k', and an x that is zero at every
+# even k' has z' = z, so its y is mirror-symmetric.
 
 # On a rectangle the grid is the same on both axes and the sampled modes
 # are mirror-symmetric, S[k, N-1-j] = (-1)^(k+1) S[k, j]: along each axis
@@ -210,130 +214,114 @@ def _fold(vals, axis):
     """Mirror sums and differences along axis of the slices j and N-1-j,
     j = 1 .. h - 1 (h = N // 2); the middle slice of an odd grid closes the
     sums."""
-    n = vals.shape[axis]
-    h = n // 2
-    shape = list(vals.shape)
-    shape[axis] = h - 1
-    minus = np.empty(shape)
-    shape[axis] += n % 2
-    plus = np.empty(shape)
-    v, p = vals.swapaxes(0, axis), plus.swapaxes(0, axis)
-    lo, hi = v[1:h], v[n - h:n - 1][::-1]
-    np.add(lo, hi, out=p[:h - 1])
-    np.subtract(lo, hi, out=minus.swapaxes(0, axis))
-    if n % 2:
-        p[-1] = v[h]
-    return plus, minus
+    v = np.moveaxis(vals, axis, 0)
+    n = len(v)
+    lo, hi = v[1:n // 2], v[n - 2:(n - 1) // 2:-1]
+    plus = np.concatenate([lo + hi, v[n // 2:n // 2 + n % 2]])
+    return np.moveaxis(plus, 0, axis), np.moveaxis(lo - hi, 0, axis)
 
 
 def _unfold(plus, minus, axis):
     """The array of N slices along axis whose fold is (plus, minus); the
     slices 0 and N-1 are zero."""
-    n = plus.shape[axis] + minus.shape[axis] + 2
-    h = n // 2
-    shape = list(plus.shape)
-    shape[axis] = n
-    out = np.zeros(shape)
-    o, p, m = (a.swapaxes(0, axis) for a in (out, plus, minus))
-    np.add(p[:h - 1], m, out=o[1:h])
-    np.subtract(p[:h - 1], m, out=o[n - h:n - 1][::-1])
-    if n % 2:
-        o[h] = p[-1]
-    return out
-
-
-def _product(a, b):
-    """a @ b, or its exact zeros without the product when a or b is all
-    zero: an exactly even field folds to zero mirror differences, and its
-    even-k coefficients are zero."""
-    if np.any(a) and np.any(b):
-        return a @ b
-    return np.zeros((a.shape[0], b.shape[1]))
+    p, m = np.moveaxis(plus, axis, 0), np.moveaxis(minus, axis, 0)
+    zero = np.zeros_like(m[:1])
+    h = len(m)
+    out = np.concatenate([zero, p[:h] + m, p[h:], (p[:h] - m)[::-1], zero])
+    return np.moveaxis(out, 0, axis)
 
 
 def _dst1(x, scale):
     """scale * y with y_k = 2 sum_j x_j sin(pi (k+1)(j+1) / P), P = len(x) + 1:
-    the unnormalized DST-I, on numpy real FFTs of z = (0, x_0 .. x_{P-2}).
-
-    With k' = k + 1, an odd P splits the outputs by parity: k' = 2m reads
-    -2 Im rfft_P(z)_m, and k' = P - 2m reads -2 Im rfft_P(z')_m with
-    z'_j = (-1)^(j+1) z_j, since sin(pi (P - 2m) j / P) = (-1)^(j+1)
-    sin(2 pi m j / P); one rfft of the (2, P) stack gives both, or one row
-    of it when x is exactly even or exactly zero at every even k', which
-    keeps evenness exact.  An even P takes -Im of the rfft of the length-2P
-    odd extension of z instead.
-    """
+    the unnormalized DST-I, -Im of the numpy real FFT of the length-2P odd
+    extension of z = (0, x_0 .. x_{P-2})."""
     p = len(x) + 1
-    if p % 2 == 0:
-        ext = np.zeros(2 * p)
-        ext[1:p] = x
-        ext[p + 1:] = -x[::-1]
-        return -scale * np.fft.rfft(ext)[1:p].imag
-    z = np.zeros((2, p))
-    z[:, 1:] = x
-    z[1, 2::2] *= -1.0
-    y = np.empty(p - 1)
-    h = (p - 1) // 2
-    if not x[1::2].any():
-        # the rows coincide: the z row gives both halves, and y is even
-        np.multiply(np.fft.rfft(z[0]).imag[1:], -2.0 * scale, out=y[1::2])
-        y[::2] = y[:0:-2]
-    elif np.array_equal(x[:h], x[:h - 1:-1]):
-        # the z row is real up to rounding: y is zero at every even k'
-        np.multiply(np.fft.rfft(z[1]).imag[:0:-1], -2.0 * scale, out=y[::2])
-        y[1::2] = 0.0
-    else:
-        spec = np.fft.rfft(z).imag
-        np.multiply(spec[0, 1:], -2.0 * scale, out=y[1::2])
-        np.multiply(spec[1, :0:-1], -2.0 * scale, out=y[::2])
-    return y
+    ext = np.zeros(2 * p)
+    ext[1:p] = x
+    ext[p + 1:] = -x[::-1]
+    return -scale * np.fft.rfft(ext)[1:p].imag
 
 
 def _dst_scale(domain: DomainSpec):
     return math.sqrt(2.0 / domain.sides[0]) / 2.0
 
 
-def _synthesize(basis: EigenBasis, coeffs):
+def _synthesize(basis: EigenBasis, coeffs, half=False):
     """Grid values of the mode coefficients; the array-level body of
-    `synthesis`, which does not validate its input or its output."""
+    `synthesis`, which does not validate its input or its output.  With
+    half, their first M = N/2 nodes per axis (N even), for coefficients
+    that are zero on every mode with an even k: an exactly even field."""
+    n = basis.domain.n_grid
     if basis.dim == 1:
-        n = basis.domain.n_grid
-        padded = np.zeros(n - 2)
-        padded[:basis.K] = coeffs
+        x = np.zeros(n - 2)
+        x[:basis.K] = coeffs
+        scale = _dst_scale(basis.domain)
+        if half:
+            # the z row: the nodes 2, 4, .. and, reversed, 1, 3, ..
+            y = np.fft.rfft(np.append(0.0, x)).imag[1:] * (-2.0 * scale)
+            return np.append(0.0, np.stack([y[::-1], y], axis=1).ravel()[:n // 2 - 1])
         vals = np.zeros(n)   # exact zeros at the two Dirichlet nodes
-        vals[1:-1] = _dst1(padded, _dst_scale(basis.domain))
+        vals[1:-1] = _dst1(x, scale)
         return vals
     (odd_x, even_x), (odd_y, even_y), pos = basis._folded_tables
     kx_odd, ky_odd = len(odd_x), len(odd_y)
     box = np.zeros((kx_odd + len(even_x), ky_odd + len(even_y)))
     box.ravel()[pos] = coeffs
-    rows = _unfold(box[:, :ky_odd] @ odd_y, _product(box[:, ky_odd:], even_y), 1)
-    return _unfold(odd_x.T @ rows[:kx_odd], _product(even_x.T, rows[kx_odd:]), 0)
+    if half:
+        return np.pad(odd_x.T @ (box[:kx_odd, :ky_odd] @ odd_y), ((1, 0), (1, 0)))
+    rows = _unfold(box[:, :ky_odd] @ odd_y, box[:, ky_odd:] @ even_y, 1)
+    return _unfold(odd_x.T @ rows[:kx_odd], even_x.T @ rows[kx_odd:], 0)
 
 
 def _analyze(basis: EigenBasis, values):
     """Mode coefficients of grid values on the basis grid; the array-level
-    body of `analysis`, which does not validate its input or its output."""
+    body of `analysis`, which does not validate its input or its output.
+    Values of M = N/2 nodes per axis (N even) are the first M of an
+    exactly even field, whose even-k coefficients are exactly zero."""
+    n = basis.domain.n_grid
+    half = values.shape[-1] == n // 2
+    spacing = basis.domain.spacings()
     if basis.dim == 1:
-        h = basis.domain.spacings()[0]
-        return _dst1(values[1:-1], h * _dst_scale(basis.domain))[:basis.K]
+        scale = spacing[0] * _dst_scale(basis.domain)
+        if not half:
+            return _dst1(values[1:-1], scale)[:basis.K]
+        # the z' row of the mirrored interior; the z row is zero
+        z = values.copy()
+        z[0] = 0.0
+        z[2::2] *= -1.0   # z_j = (-1)^(j+1) u_j
+        y = np.zeros(n - 2)
+        y[::2] = np.fft.rfft(np.append(z, -z[:0:-1])).imag[:0:-1] * (-2.0 * scale)
+        return y[:basis.K]
     (odd_x, even_x), (odd_y, even_y), pos = basis._folded_tables
-    plus, minus = _fold(values, 0)
-    rows = np.concatenate([odd_x @ plus, _product(even_x, minus)])
-    plus, minus = _fold(rows, 1)
-    box = np.concatenate([plus @ odd_y.T, _product(minus, even_y.T)], axis=1)
-    hx, hy = basis.domain.spacings()
-    return box.ravel()[pos] * (hx * hy)
+    if half:
+        # the mirror sums are twice the interior nodes, the differences zero
+        box = np.zeros((len(odd_x) + len(even_x), len(odd_y) + len(even_y)))
+        box[:len(odd_x), :len(odd_y)] = 2.0 * (odd_x @ (2.0 * values[1:, 1:])) @ odd_y.T
+    else:
+        plus, minus = _fold(values, 0)
+        rows = np.concatenate([odd_x @ plus, even_x @ minus])
+        plus, minus = _fold(rows, 1)
+        box = np.concatenate([plus @ odd_y.T, minus @ even_y.T], axis=1)
+    return box.ravel()[pos] * (spacing[0] * spacing[1])
 
 
 def synthesis(f: SpectralField) -> GridField:
-    return GridField(f.basis.domain, _synthesize(f.basis, f.coeffs))
+    """Grid values of f; exactly even when the grid is even and f is zero
+    on every mode with an even k."""
+    basis = f.basis
+    even_k = np.any(basis.modes.reshape(basis.K, -1) % 2 == 0, axis=1)
+    if basis.domain.n_grid % 2 or f.coeffs[even_k].any():
+        return GridField(basis.domain, _synthesize(basis, f.coeffs))
+    return GridField(basis.domain, mirror(_synthesize(basis, f.coeffs, half=True)))
 
 
 def analysis(basis: EigenBasis, u: GridField) -> SpectralField:
+    """Mode coefficients of u; exactly zero on every mode with an even k
+    when u is exactly even on an even grid."""
     if u.domain != basis.domain:
         raise OutOfRange("field grid does not match the basis domain")
-    return SpectralField(basis, _analyze(basis, u.values))
+    half = even_half(u.values)
+    return SpectralField(basis, _analyze(basis, u.values if half is None else half))
 
 
 def apply_As(f: SpectralField, s) -> SpectralField:

@@ -15,6 +15,11 @@ for `riesz._fft_len`, `singular_quadrant_quad`, the QUADPACK body of
 `riesz._singular_quadrant`, and `circle_mean_quad`, the nested angular
 rule that the closed form `riesz._circle_mean` replaced in the n = 2
 `riesz.riesz_radial`.
+
+`picard_loop` is the Picard iteration of `solver._solve_fixed_point` on the
+whole grid, step by step through the public `analysis`, `synthesis` and
+`riesz.convolve`: the oracle of the loop that holds the half (1-D) or
+quarter (2-D) of an exactly even iterate.
 """
 
 import math
@@ -23,6 +28,10 @@ import numpy as np
 from scipy.fft import dst, next_fast_len
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
+
+from fhl import riesz, solver
+from fhl.grids import GridField
+from fhl.spectral import SpectralField, analysis, synthesis
 
 
 def riesz_rows_1d(x, mu):
@@ -79,6 +88,36 @@ def moment_double_2d_fftconvolve(f, mu):
     cx = fftconvolve(f.values, kx, mode="same")
     cy = fftconvolve(f.values, ky, mode="same")
     return float(np.sum(w * f.values * (gx * cx + gy * cy)))
+
+
+def picard_loop(params, domain, basis, weights, opts):
+    """(values, coeffs, residual, iterations) of the damped normalized
+    Picard iteration with its final homogeneity calibration, every step on
+    the whole grid and with no parity shortcut of its own."""
+    p, _, shift = solver._problem_terms(params)
+    denom = basis.lambdas ** params.s - shift
+    u = solver._seed_values(opts.seed, params, domain, basis)
+    u = u / np.max(u)
+    a = analysis(basis, GridField(domain, u)).coeffs
+    for it in range(opts.max_iter):
+        pos = np.maximum(u, 0.0)
+        tail = pos ** (p - 1.0)
+        conv = riesz.convolve(weights, GridField(domain, tail * pos)).values
+        b = analysis(basis, GridField(domain, conv * tail)).coeffs
+        v = synthesis(SpectralField(basis, b / denom)).values
+        m = float(np.max(v))
+        res = solver._relative_defect(a, denom, b / m)
+        if res < opts.residual_tol:
+            break
+        if opts.theta == 1.0:
+            u, a = v / m, b / (denom * m)
+        else:
+            u = (1.0 - opts.theta) * u + opts.theta * v / m
+            top = np.max(u)
+            u = u / top
+            a = ((1.0 - opts.theta) * a + opts.theta * b / (denom * m)) / top
+    t = m ** (-1.0 / (2.0 * p - 2.0))
+    return t * u, t * a, res, it + 1
 
 
 def dst1(x):

@@ -29,7 +29,7 @@ from scipy import fft as sfft
 from scipy.signal import fftconvolve
 
 from fhl import riesz, spectral
-from fhl.grids import GridField, interval, rectangle
+from fhl.grids import GridField, even_half, interval, mirror, rectangle
 from fhl.spectral import SpectralField
 from oracles import dst1, fft_len, riesz_rows_1d, singular_quadrant_quad
 
@@ -236,16 +236,29 @@ def _is_even(a):
     return all(np.array_equal(a, np.flip(a, axis)) for axis in range(a.ndim))
 
 
+def _dirichlet(f):
+    """f with zeros on every boundary node; exactly even if f is."""
+    g = f.copy()
+    for axis in range(g.ndim):
+        np.moveaxis(g, axis, 0)[[0, -1]] = 0.0
+    return g
+
+
 def _check_even_apply(w, f):
-    """The half-grid apply on the exactly even f matches the full apply to
-    1e-13 of max(|W||f|), its output is exactly even, and `_convolve`'s
-    table term takes it."""
-    fast = riesz._even_apply(w.even_spectrum, f)
+    """The half-grid apply on the half of the exactly even f, mirrored,
+    matches the full apply to 1e-13 of max(|W||f|) and is exactly even;
+    `_convolve` takes the half, and `convolve` takes the half of f with
+    its boundary zeroed."""
+    half = riesz._even_apply(w.even_spectrum, even_half(f))
+    assert np.array_equal(riesz._convolve(w, even_half(f)), half)
+    fast = mirror(half)
     # the table is positive, so W |f| is max(|W||f|)
     scale = np.max(riesz._fft_apply(w.spectrum, np.abs(f)))
     assert np.max(np.abs(fast - riesz._fft_apply(w.spectrum, f))) <= 1e-13 * scale
     assert _is_even(fast)
-    assert np.array_equal(riesz._table_apply(w, f), fast)
+    g = _dirichlet(f)
+    assert np.array_equal(riesz.convolve(w, GridField(w.domain, g)).values,
+                          mirror(riesz._even_apply(w.even_spectrum, even_half(g))))
 
 
 @PROPERTY
@@ -268,43 +281,49 @@ def test_even_apply_matches_full_apply_1d(half, mu, length, seed):
     _check_even_apply(w, np.concatenate([r, r[::-1]]))
 
 
-def test_table_apply_off_exact_evenness_takes_full_path():
+def test_convolve_off_exact_evenness_takes_full_path():
     """One node moved by one ulp, a field even along one axis only, an odd
-    grid and a stack of even fields all go through `_fft_apply` unchanged,
-    in 2-D and 1-D."""
+    grid and, in 1-D, an exactly even field with nonzero ends all take the
+    full apply in `convolve`, in 2-D and 1-D; `_convolve` has no parity
+    detection, so a stack of even fields takes `_fft_apply` unchanged."""
     rng = np.random.default_rng(7)
     w = riesz.build_weights(rectangle(0.0, 1.4, 0.0, 0.9, 64), 1.1)
-    f = _mirrored(rng.normal(size=(32, 32)))
+    f = _dirichlet(_mirrored(rng.normal(size=(32, 32))))
     moved = f.copy()
     moved[5, 9] = np.nextafter(moved[5, 9], np.inf)
     rows = rng.normal(size=(32, 64))
-    one_axis = np.concatenate([rows, rows[::-1]])
+    one_axis = _dirichlet(np.concatenate([rows, rows[::-1]]))
     odd = riesz.build_weights(rectangle(0.0, 1.4, 0.0, 0.9, 33), 1.1)
     g = rng.normal(size=(33, 33))
     g = g + g[::-1]
-    g = g + g[:, ::-1]
+    g = _dirichlet(g + g[:, ::-1])
     assert _is_even(g)
     line = riesz.build_weights(interval(0.0, 1.0, 64), 0.6)
-    h = f[0]
-    h_moved = h.copy()
+    h = _mirrored(rng.normal(size=(32, 32)))[0]
+    h_moved = _dirichlet(h)
     h_moved[9] = np.nextafter(h_moved[9], np.inf)
     line_odd = riesz.build_weights(interval(0.0, 1.0, 65), 0.6)
     h_odd = rng.normal(size=65)
-    h_odd = h_odd + h_odd[::-1]
-    assert _is_even(h) and _is_even(h_odd)
-    for weights, vals in ((w, moved), (w, one_axis), (w, one_axis.T),
-                          (odd, g), (w, np.stack([f, f[::-1]])),
-                          (line, h_moved), (line_odd, h_odd), (line, np.stack([h, h]))):
-        assert np.array_equal(riesz._table_apply(weights, vals),
+    h_odd = _dirichlet(h_odd + h_odd[::-1])
+    assert _is_even(h) and h[0] != 0.0 and _is_even(h_odd)
+    for weights, vals in ((w, moved), (w, one_axis), (w, one_axis.T), (odd, g),
+                          (line, h), (line, h_moved), (line_odd, h_odd)):
+        assert np.array_equal(riesz.convolve(weights, GridField(weights.domain, vals)).values,
+                              riesz._convolve(weights, vals))
+    for weights, vals in ((w, np.stack([f, f[::-1]])),
+                          (line, np.stack([_dirichlet(h)] * 2))):
+        assert np.array_equal(riesz._convolve(weights, vals),
                               riesz._fft_apply(weights.spectrum, vals))
 
 
 @pytest.mark.parametrize("n", [64, 65])
 def test_folded_transforms_keep_exact_evenness(n):
-    """An exactly even field has exactly zero coefficients on every mode
-    with an even k, and odd-k coefficients alone synthesize an exactly even
-    field: on a rectangle on both grid parities, and on an interval of 2n
-    nodes, an even grid, where the DST-I has an odd P = N - 1."""
+    """Through `analysis` and `synthesis`, an exactly even field has
+    exactly zero coefficients on every mode with an even k, and odd-k
+    coefficients alone synthesize an exactly even field: on a rectangle on
+    both grid parities, and on an interval of 2n nodes, an even grid,
+    where the DST-I has an odd P = N - 1.  On an even grid the half
+    transforms give the same, from and to the half or quarter."""
     rng = np.random.default_rng(n)
     for dom in (rectangle(0.0, 1.4, 0.0, 0.9, n), interval(0.0, 1.4, 2 * n)):
         basis = spectral.build_basis(dom, (n // 2) ** dom.dim)
@@ -313,10 +332,15 @@ def test_folded_transforms_keep_exact_evenness(n):
             u = u + np.flip(u, axis)
             np.moveaxis(u, axis, 0)[[0, -1]] = 0.0
         even_k = np.any(basis.modes.reshape(basis.K, -1) % 2 == 0, axis=1)
-        a = spectral._analyze(basis, u)
+        a = spectral.analysis(basis, GridField(dom, u)).coeffs
         assert np.all(a[even_k] == 0.0) and np.all(a[~even_k] != 0.0)
         c = np.where(even_k, 0.0, rng.normal(size=basis.K))
-        assert _is_even(spectral._synthesize(basis, c))
+        v = spectral.synthesis(SpectralField(basis, c)).values
+        assert _is_even(v)
+        if dom.n_grid % 2 == 0:
+            assert np.array_equal(spectral._analyze(basis, even_half(u)), a)
+            assert np.array_equal(spectral._synthesize(basis, c, half=True),
+                                  even_half(v))
 
 
 def _scipy_apply(offsets, values):

@@ -9,6 +9,7 @@ from fhl.errors import (GridMismatch, NoConvergence, OutOfRange, ResonantEps,
 from fhl.grids import GridField, interval, rectangle
 from fhl.model import Regime, exponents, make_params
 from fhl.solver import Seed, SolveOptions
+from oracles import picard_loop
 
 
 @pytest.fixture(scope="module")
@@ -529,10 +530,103 @@ def test_1d_reference_solve_exactly_even(monkeypatch):
             u = rec.grid.values.copy()
             u[100] = np.nextafter(u[100], np.inf)
             taken.clear()
-            riesz._table_apply(weights, u)
+            riesz.convolve(weights, GridField(dom, u))
             assert taken == ["_fft_apply"]
         else:
             assert set(taken) == {"_fft_apply"}
+
+
+def _loop_case(case):
+    """(params, domain, basis, weights) of a small solve: an even or odd
+    interval, the unit square (Brezis-Nirenberg) or the 1.4 x 0.9
+    rectangle (subcritical), on N nodes per axis."""
+    kind, n = case.rsplit("_", 1)
+    if kind == "interval":
+        params = make_params(1, 0.3, 0.4, 0.3, Regime.SUBCRITICAL_HARTREE)
+        dom = interval(0.0, 1.0, int(n))
+        basis = spectral.build_basis(dom, 64)
+    else:
+        dom = rectangle(0.0, 1.0 if kind == "square" else 1.4,
+                        0.0, 1.0 if kind == "square" else 0.9, int(n))
+        basis = spectral.build_basis(dom, 256)
+        if kind == "square":
+            eps = 0.25 * float(basis.lambdas[0] ** 0.45)
+            params = make_params(2, 0.45, 1.2, eps, Regime.BREZIS_NIRENBERG)
+        else:
+            params = make_params(2, 0.45, 1.1, 0.15, Regime.SUBCRITICAL_HARTREE)
+    return params, dom, basis, riesz.build_weights(dom, solver.kernel_exponent(params))
+
+
+def _is_even(u):
+    return all(np.array_equal(u, np.flip(u, axis)) for axis in range(u.ndim))
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+@pytest.mark.parametrize("case", ["interval_256", "square_48", "rectangle_48"])
+def test_half_state_loop_matches_full_grid_loop(case, theta):
+    """The loop that holds the half (1-D) or quarter (2-D) of the exactly
+    even iterate takes the iterations of the plain full-grid Picard loop
+    (`oracles.picard_loop`), lands on its values and coefficients to
+    1e-14 relative, and returns an exactly even grid; the damped update
+    runs on the half too."""
+    params, dom, basis, weights = _loop_case(case)
+    opts = SolveOptions(theta=theta, max_iter=2000)
+    rec = solver.solve(params, dom, basis, weights, opts)
+    vals, coeffs, res, iterations = picard_loop(params, dom, basis, weights, opts)
+    assert rec.converged and rec.iterations == iterations
+    assert np.max(np.abs(rec.grid.values - vals)) <= 1e-14 * np.max(np.abs(vals))
+    assert np.max(np.abs(rec.field.coeffs - coeffs)) <= 1e-14 * np.max(np.abs(coeffs))
+    assert _is_even(rec.grid.values)
+
+
+@pytest.mark.parametrize("case", ["interval_255", "square_47", "interval_256",
+                                  "rectangle_48"])
+def test_full_grid_state_off_exact_evenness(monkeypatch, case):
+    """An odd grid, and on an even grid a warm start one ulp off evenness
+    at one node, keep the whole grid as the loop state and converge; the
+    ulp shows in a nonzero mirror defect."""
+    params, dom, basis, weights = _loop_case(case)
+    opts = SolveOptions(theta=1.0, max_iter=2000)
+    if dom.n_grid % 2 == 0:
+        u = solver.solve(params, dom, basis, weights, opts).grid.values.copy()
+        node = tuple(n // 3 for n in u.shape)
+        u[node] = np.nextafter(u[node], np.inf)
+        opts = SolveOptions(theta=1.0, max_iter=2000,
+                            seed=Seed.warm_start(GridField(dom, u)))
+    shapes = []
+    rhs = solver._nonlinear_rhs
+
+    def recorded(w, vals, p):
+        shapes.append(vals.shape)
+        return rhs(w, vals, p)
+
+    monkeypatch.setattr(solver, "_nonlinear_rhs", recorded)
+    rec = solver.solve(params, dom, basis, weights, opts)
+    assert rec.converged and set(shapes) == {dom.shape}
+    assert len(shapes) == rec.iterations
+    if dom.n_grid % 2 == 0:
+        assert max(rec.mirror_defect) > 0.0
+
+
+def test_2d_solve_takes_quarter_apply(monkeypatch):
+    """The 2-D counterpart of the path accounting of
+    `test_1d_reference_solve_exactly_even`: from the first-eigenfunction
+    seed on an even grid every Riesz apply is the quarter apply, one per
+    Picard step and one in the energy quotient; an odd grid never takes
+    it."""
+    taken = []
+    for name in ("_even_apply", "_fft_apply"):
+        def counted(*args, _name=name, _apply=getattr(riesz, name)):
+            taken.append(_name)
+            return _apply(*args)
+        monkeypatch.setattr(riesz, name, counted)
+    for case in ("square_48", "square_47"):
+        params, dom, basis, weights = _loop_case(case)
+        taken.clear()
+        rec = solver.solve(params, dom, basis, weights,
+                           SolveOptions(theta=1.0, max_iter=2000))
+        assert rec.converged and len(taken) == rec.iterations + 1
+        assert set(taken) == ({"_even_apply"} if dom.n_grid % 2 == 0 else {"_fft_apply"})
 
 
 @pytest.mark.parametrize("shape", ["negative", "zero", "negative_shifted"])
