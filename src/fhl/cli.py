@@ -20,9 +20,9 @@ import time
 import numpy as np
 
 from . import __version__, bubbles, constants, diagnostics, riesz, solver, spectral
-from .errors import (FHLError, MissingRequired, NumericalError, UnknownKey,
+from .errors import (MissingRequired, NumericalError, OutOfRange, UnknownKey,
                      ValidationError, WrongType)
-from .grids import GridField, interval, rectangle
+from .grids import interval, rectangle
 from .model import Regime, make_params
 from .solver import Seed, SolveOptions
 
@@ -132,9 +132,22 @@ def _solve_setup(cfg, eps):
     return params, domain, basis, weights, opts
 
 
-def _json_dump(obj, path):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
+def _read_config(path):
+    """(config, warnings) of the config file at path."""
+    with open(path) as fh:
+        return parse_config(fh.read())
+
+
+def _write_archive(out_dir, name, cfg, warnings, key, value, wall):
+    """Make out_dir and write {config, config_warnings, version, key: value,
+    wall_time_s} to out_dir/name.json; the replay contract compares these
+    files apart from wall_time_s."""
+    os.makedirs(out_dir, exist_ok=True)
+    payload = {"config": {k: v for k, v in cfg.items() if v is not None},
+               "config_warnings": warnings, "version": __version__,
+               key: value, "wall_time_s": wall}
+    with open(os.path.join(out_dir, f"{name}.json"), "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
@@ -200,8 +213,7 @@ def _svg_chart(path, series, title):
 # --------------------------------------------------------------------------
 
 def _cmd_constants(args):
-    regime = Regime.FREE_SPACE
-    params = make_params(args.n, args.s, args.mu, 0.0, regime)
+    params = make_params(args.n, args.s, args.mu, 0.0, Regime.FREE_SPACE)
     values = constants.all_constants(params)
     if args.json:
         print(json.dumps(values, sort_keys=True))
@@ -218,10 +230,11 @@ def _cmd_bubble(args):
     if args.action == "quotient":
         print(f"quotient {_FMT % bubbles.hls_quotient(bub)}")
         return 0
+    if args.points < 0:
+        raise OutOfRange(f"--points must be >= 0, got {args.points}")
     writer = csv.writer(sys.stdout)
     writer.writerow(["x", "lhs", "rhs", "residual"])
-    radii = np.linspace(0.0, 10.0, args.points)
-    for rho in radii:
+    for rho in np.linspace(0.0, 10.0, args.points):
         x = (float(rho),) + (0.0,) * (params.n - 1)
         lhs, rhs = bubbles.convolution_identity_lhs_rhs(bub, x)
         writer.writerow([_FMT % rho, _FMT % lhs, _FMT % rhs,
@@ -230,6 +243,8 @@ def _cmd_bubble(args):
 
 
 def _cmd_robin(args):
+    if args.samples < 0:
+        raise OutOfRange(f"--samples must be >= 0, got {args.samples}")
     # the Green and Robin sums read the modes and the interval, never the
     # nodes: build_basis's smallest grid for the mode count
     dom = interval(args.a, args.b, max(16, 2 * args.modes))
@@ -254,31 +269,21 @@ def _cmd_robin(args):
 
 
 def _cmd_solve(args):
-    with open(args.config) as fh:
-        cfg, warnings = parse_config(fh.read())
+    cfg, warnings = _read_config(args.config)
     if cfg["eps"] is None:
         raise MissingRequired("config key 'eps' is required by solve")
     t0 = time.time()
     record = solver.solve(*_solve_setup(cfg, cfg["eps"]))
-    wall = time.time() - t0
-    out = {
-        "config": {k: v for k, v in cfg.items() if v is not None},
-        "config_warnings": warnings,
-        "version": __version__,
-        "record": record.to_dict(),
-        "wall_time_s": wall,
-    }
     out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
-    _json_dump(out, os.path.join(out_dir, "solve.json"))
+    _write_archive(out_dir, "solve", cfg, warnings, "record", record.to_dict(),
+                   time.time() - t0)
     _write_solution_csv(os.path.join(out_dir, "solution.csv"), record)
     print(json.dumps(record.to_dict(), sort_keys=True))
     return 0
 
 
 def _cmd_continuation(args):
-    with open(args.config) as fh:
-        cfg, warnings = parse_config(fh.read())
+    cfg, warnings = _read_config(args.config)
     if args.eps:
         text, key = args.eps, "--eps"
     elif cfg["eps_list"]:
@@ -295,20 +300,12 @@ def _cmd_continuation(args):
                                       basis=basis, weights=weights,
                                       window=cfg["window"],
                                       strip_cells=cfg["strip_cells"])
-    wall = time.time() - t0
     out_dir = args.out or "run"
-    os.makedirs(out_dir, exist_ok=True)
-    payload = {
-        "config": {k: v for k, v in cfg.items() if v is not None},
-        "config_warnings": warnings,
-        "version": __version__,
-        "report": report.to_dict(),
-        "wall_time_s": wall,
-    }
-    _json_dump(payload, os.path.join(out_dir, "report.json"))
+    _write_archive(out_dir, "report", cfg, warnings, "report", report.to_dict(),
+                   time.time() - t0)
     with open(os.path.join(out_dir, "config.echo.cfg"), "w") as fh:
         fh.write(serialize_config(cfg))
-    _write_summary_csv(os.path.join(out_dir, "summary.csv"), report)
+    _write_summary_csv(os.path.join(out_dir, "summary.csv"), report.derived)
     for rec in report.records:
         _write_solution_csv(
             os.path.join(out_dir, f"solution_eps_{rec.eps:g}.csv"), rec)
@@ -317,21 +314,26 @@ def _cmd_continuation(args):
     return 0
 
 
-_SUMMARY_COLUMNS = ("eps", "mu_eps", "mu_eps_pow_eps", "x_eps", "profile_dist",
-                    "rate_lhs", "boundary_sup", "interior_L1")
+# The scalar series of report.derived: (summary.csv header, fhl report file
+# name, derived key).  summary.csv puts eps first and x_eps after the first
+# two series.
+_SERIES = (("mu_eps", "mu_eps", "mu_eps"),
+           ("mu_eps_pow_eps", "mu_power", "mu_eps_pow_eps"),
+           ("profile_dist", "profile_distance", "profile_distance"),
+           ("rate_lhs", "rate_lhs", "rate_lhs"),
+           ("boundary_sup", "boundary_sup", "boundary_strip_sup"),
+           ("interior_L1", "interior_l1", "interior_l1"))
 
 
-def _write_summary_csv(path, report):
+def _write_summary_csv(path, derived):
+    heads = [head for head, _, _ in _SERIES]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_SUMMARY_COLUMNS)
-        for d in report.derived:
-            writer.writerow([
-                _FMT % d["eps"], _FMT % d["mu_eps"], _FMT % d["mu_eps_pow_eps"],
-                "/".join(_FMT % v for v in d["x_eps"]),
-                _FMT % d["profile_distance"], _FMT % d["rate_lhs"],
-                _FMT % d["boundary_strip_sup"], _FMT % d["interior_l1"],
-            ])
+        writer.writerow(["eps", *heads[:2], "x_eps", *heads[2:]])
+        for d in derived:
+            vals = [_FMT % d[key] for _, _, key in _SERIES]
+            writer.writerow([_FMT % d["eps"], *vals[:2],
+                             "/".join(_FMT % v for v in d["x_eps"]), *vals[2:]])
 
 
 def _cmd_report(args):
@@ -343,91 +345,32 @@ def _cmd_report(args):
                             "'derived', as fhl continuation writes") from None
     os.makedirs(args.out, exist_ok=True)
     eps = [d["eps"] for d in derived]
-
-    def emit(name, column):
-        ys = [d[column] for d in derived]
+    for _, name, key in _SERIES:
+        ys = [d[key] for d in derived]
         with open(os.path.join(args.out, f"{name}.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["eps", column])
-            for e, y in zip(eps, ys):
-                writer.writerow([_FMT % e, _FMT % y])
-        _svg_chart(os.path.join(args.out, f"{name}.svg"),
-                   [(column, eps, ys)], name)
-
-    emit("mu_eps", "mu_eps")
-    emit("mu_power", "mu_eps_pow_eps")
-    emit("profile_distance", "profile_distance")
-    emit("rate_lhs", "rate_lhs")
-    emit("boundary_sup", "boundary_strip_sup")
-    emit("interior_l1", "interior_l1")
-    print(f"wrote 6 series to {args.out}/")
+            writer.writerow(["eps", key])
+            writer.writerows([_FMT % e, _FMT % y] for e, y in zip(eps, ys))
+        _svg_chart(os.path.join(args.out, f"{name}.svg"), [(key, eps, ys)], name)
+    print(f"wrote {len(_SERIES)} series to {args.out}/")
     return 0
-
-
-def _cmd_selftest(args):
-    """Direct checks of the closed-form examples; exits 0 when all hold."""
-    import math
-    checks = []
-
-    def check(name, ok):
-        checks.append((name, bool(ok)))
-        print(f"{'ok ' if ok else 'FAIL'} {name}")
-
-    check("gamma(1) = 1", abs(constants.gamma(1.0) - 1.0) < 1e-14)
-    check("gamma(5) = 24", abs(constants.gamma(5.0) - 24.0) < 1e-12)
-    check("gamma(1/2) = sqrt(pi)",
-          abs(constants.gamma(0.5) - math.sqrt(math.pi)) < 1e-14)
-    params = make_params(1, 0.3, 0.4, 0.1, Regime.SUBCRITICAL_HARTREE)
-    from .model import exponents
-    exp = exponents(params)
-    check("two_sharp(1, 0.3) = 5", abs(exp.two_sharp - 5.0) < 1e-12)
-    check("p_sub = 3.9", abs(exp.p_sub - 3.9) < 1e-12)
-    try:
-        make_params(2, 0.3, 1.0, 0.0, Regime.SUBCRITICAL_HARTREE)
-        check("n < 6s rejection", False)
-    except FHLError:
-        check("n < 6s rejection", True)
-    dom = interval(0.0, 1.0, 64)
-    basis = spectral.build_basis(dom, 16)
-    check("lambda_1 = pi^2", abs(basis.lambdas[0] - math.pi ** 2) < 1e-10)
-    check("gram orthonormal", spectral.gram_defect(basis) < 1e-10)
-    f = spectral.SpectralField(basis, np.arange(1.0, 17.0))
-    rt = spectral.solve_As(spectral.apply_As(f, 0.4), 0.4)
-    check("apply/solve round trip", np.max(np.abs(rt.coeffs - f.coeffs)) < 1e-12)
-    par2 = make_params(2, 0.5, 1.0, 0.0, Regime.FREE_SPACE)
-    bub = bubbles.Bubble(bubbles.BubbleFamily.HARTREE_W, (0.0, 0.0), 1.0, par2)
-    w_fun = bubbles.kelvin(lambda x: bubbles.eval_bubble(bub, x), par2)
-    pt = np.array([2.0, 0.0])
-    check("kelvin self-reciprocity",
-          abs(w_fun(pt) - bubbles.eval_bubble(bub, pt)) < 1e-12)
-    wts = riesz.build_weights(dom, 0.4)
-    zero = GridField(dom, np.zeros(64))
-    check("convolve linear at 0", riesz.convolve(wts, zero).sup_norm() == 0.0)
-    cfg, _ = parse_config("regime=subcritical\nn=1\ns=0.3\nmu=0.4\neps=0.1\n"
-                          "domain.kind=interval\n")
-    cfg2, _ = parse_config(serialize_config(cfg))
-    check("config round trip", cfg == cfg2)
-    failed = [name for name, ok in checks if not ok]
-    return 1 if failed else 0
 
 
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fhl", description="fractional Hartree blow-up laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
+    free_space = argparse.ArgumentParser(add_help=False)
+    for flag, typ in (("--n", int), ("--s", float), ("--mu", float)):
+        free_space.add_argument(flag, type=typ, required=True)
 
-    p = sub.add_parser("constants", help="print closed-form constants")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--mu", type=float, required=True)
+    p = sub.add_parser("constants", parents=[free_space],
+                       help="print closed-form constants")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_constants)
 
-    p = sub.add_parser("bubble", help="bubble identity checks")
+    p = sub.add_parser("bubble", parents=[free_space], help="bubble identity checks")
     p.add_argument("action", choices=("check", "quotient"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--mu", type=float, required=True)
     p.add_argument("--points", type=int, default=16)
     p.set_defaults(func=_cmd_bubble)
 
@@ -456,8 +399,6 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("selftest", help="run the quick example suite")
-    p.set_defaults(func=_cmd_selftest)
     return parser
 
 

@@ -159,10 +159,12 @@ class SpectralField:
 def build_basis(domain: DomainSpec, K) -> EigenBasis:
     """Sine modes sorted by eigenvalue with stable index tie-breaking.
 
-    K counts modes in total; the resolvability precondition is K <= N/2
-    per axis (total K <= (N/2)^2 on a rectangle).
+    K counts modes in total, at least one; the resolvability precondition
+    is K <= N/2 per axis (total K <= (N/2)^2 on a rectangle).
     """
     K = int(K)
+    if K < 1:
+        raise OutOfRange(f"K = {K}: a basis needs at least one mode")
     n = domain.n_grid
     if domain.dim == 1:
         if K > n // 2:

@@ -2,13 +2,16 @@ import csv
 import itertools
 import json
 import os
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from fhl import spectral
-from fhl.cli import _write_solution_csv, parse_config, run_command, serialize_config
+from fhl.cli import (_write_solution_csv, build_parser, parse_config, run_command,
+                     serialize_config)
 from fhl.errors import MissingRequired, UnknownKey, WrongType
 from fhl.grids import GridField, interval, rectangle
 
@@ -52,12 +55,6 @@ def test_duplicate_key_last_wins():
     cfg, warnings = parse_config(GOOD + "\ns=0.25\n")
     assert cfg["s"] == 0.25
     assert any("duplicate" in w for w in warnings)
-
-
-def test_selftest_exit_zero(capsys):
-    assert run_command(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
 
 
 def test_solve_missing_config_exit_one(capsys):
@@ -275,3 +272,37 @@ def test_schema_version_is_unknown_key():
     with pytest.raises(UnknownKey, match="'schema_version'"):
         parse_config(GOOD + "schema_version=7\n")
 
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["robin", "--s", "0.3", "--modes", "0"], "at least one mode"),
+    (["robin", "--s", "0.3", "--samples", "-1"], "--samples"),
+    (["bubble", "check", "--n", "1", "--s", "0.3", "--mu", "0.4", "--points", "-1"],
+     "--points"),
+    (["solve", "--config", "modes0.cfg"], "at least one mode"),
+], ids=["robin-modes", "robin-samples", "bubble-points", "solve-modes"])
+def test_count_out_of_range_is_typed_error(tmp_path, monkeypatch, capsys, argv, message):
+    """A mode count below 1 or a negative sample count exits 1 with one JSON
+    line and writes nothing; each died with a traceback or wrote a table of
+    nan before."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "modes0.cfg").write_text(GOOD.replace("modes=64", "modes=0"))
+    assert run_command(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+    payload = json.loads(captured.err)
+    assert payload["error"] == "OutOfRange"
+    assert message in payload["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["modes0.cfg"]
+
+
+def test_readme_commands_match_parser():
+    """Every `fhl <command>` line in README's code blocks names a subcommand,
+    and every subcommand is shown there."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
+    documented = {m.group(1) for block in blocks
+                  for m in re.finditer(r"^fhl (\S+)", block, re.M)}
+    (sub,) = [a for a in build_parser()._actions if a.choices and a.dest == "command"]
+    assert documented == set(sub.choices)

@@ -30,6 +30,17 @@ def test_under_resolved():
         spectral.build_basis(interval(0.0, 1.0, 64), 33)
 
 
+@pytest.mark.parametrize("K", [0, -1])
+@pytest.mark.parametrize("dom", [interval(0.0, 1.0, 64), rectangle(0.0, 1.0, 0.0, 1.0, 32)],
+                         ids=["interval", "rectangle"])
+def test_basis_without_modes_is_out_of_range(dom, K):
+    """K < 1 is rejected in both dimensions; before, a 1-D basis of no modes
+    divided by zero in resolution_floor and a negative 2-D K dropped the
+    last modes instead."""
+    with pytest.raises(OutOfRange, match="at least one mode"):
+        spectral.build_basis(dom, K)
+
+
 def test_gram_orthonormal():
     basis = spectral.build_basis(interval(0.0, 1.0, 256), 64)
     assert spectral.gram_defect(basis) < 1e-8
