@@ -272,11 +272,12 @@ def _cmd_solve(args):
     cfg, warnings = _read_config(args.config)
     if cfg["eps"] is None:
         raise MissingRequired("config key 'eps' is required by solve")
-    t0 = time.time()
-    record = solver.solve(*_solve_setup(cfg, cfg["eps"]))
+    setup = _solve_setup(cfg, cfg["eps"])
+    t0 = time.perf_counter()
+    record = solver.solve(*setup)
     out_dir = args.out or "."
     _write_archive(out_dir, "solve", cfg, warnings, "record", record.to_dict(),
-                   time.time() - t0)
+                   time.perf_counter() - t0)
     _write_solution_csv(os.path.join(out_dir, "solution.csv"), record)
     print(json.dumps(record.to_dict(), sort_keys=True))
     return 0
@@ -295,14 +296,14 @@ def _cmd_continuation(args):
     except ValueError:
         raise WrongType(f"{key}: cannot read {text!r} as comma-separated floats")
     params, domain, basis, weights, opts = _solve_setup(cfg, eps_list[0])
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = diagnostics.continuation(params, domain, eps_list, opts,
                                       basis=basis, weights=weights,
                                       window=cfg["window"],
                                       strip_cells=cfg["strip_cells"])
     out_dir = args.out or "run"
     _write_archive(out_dir, "report", cfg, warnings, "report", report.to_dict(),
-                   time.time() - t0)
+                   time.perf_counter() - t0)
     with open(os.path.join(out_dir, "config.echo.cfg"), "w") as fh:
         fh.write(serialize_config(cfg))
     _write_summary_csv(os.path.join(out_dir, "summary.csv"), report.derived)

@@ -246,7 +246,7 @@ def symmetrization_check(f: GridField, mu, weights):
         term2 = float(conv_g[-1] - conv_g[0]) / mu
         lhs_a = term1 + term2
     else:
-        lhs_a = _moment_double_2d(f, mu)
+        lhs_a = _moment_double_2d(f, weights)
     if lhs_b == 0.0:
         return 0.0, 0.0, 0.0
     residual = abs(lhs_a / lhs_b - 1.0)
@@ -265,25 +265,16 @@ def _moment_rows(dom: DomainSpec, mu, f):
     return af - f * a1
 
 
-def _moment_double_2d(f: GridField, mu):
-    """Midpoint-table evaluation of the 2-D moment double integral.
+def _moment_double_2d(f: GridField, weights):
+    """Midpoint-table evaluation of the 2-D moment double integral, with the
+    kernel spectra that the weights hold for their grid and mu.
 
     The diagonal cell is dropped (PV symmetry); documented O(h) accuracy.
     """
     dom = f.domain
-    n = dom.n_grid
-    hx, hy = dom.spacings()
-    offs = np.arange(-(n - 1), n)
-    # the kernel tables are indexed by the offset t - x; dx, dy are x - t
-    dx = -offs[:, None] * hx
-    dy = -offs[None, :] * hy
-    r = np.hypot(dx, dy)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kx = np.where(r > 0, dx * r ** (-(mu + 2.0)), 0.0) * hx * hy
-        ky = np.where(r > 0, dy * r ** (-(mu + 2.0)), 0.0) * hx * hy
     w = dom.node_weights()
     gx, gy = dom.mesh()
-    cx, cy = (riesz._fft_apply(riesz._spectrum(k), f.values) for k in (kx, ky))
+    cx, cy = (riesz._fft_apply(s, f.values) for s in weights.moment_spectra)
     return float(np.sum(w * f.values * (gx * cx + gy * cy)))
 
 
@@ -325,7 +316,7 @@ def pohozaev_balance(record: SolutionRecord, params: Params, basis, weights, r):
                  + f * ((b0 - x) ** (-mu) - (x - a0) ** (-mu)) / mu)
         g4 = float(np.sum(w[interior_mask] * x * f * inner))
     else:
-        g4 = _moment_double_2d(GridField(dom, up), weights.mu)
+        g4 = _moment_double_2d(GridField(dom, up), weights)
     remainder = (g1, g2, g3, abs(g4))
     floor = 1e-300
     gap = interior / max(sum(remainder), floor)

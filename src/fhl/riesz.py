@@ -11,16 +11,17 @@ O(N log N).  The dense builder `moment_weights_1d` stays as the oracle of
 `moment_apply`.
 
 2-D weights are piecewise-constant product integration over node-centered
-cells.  Uniform spacing makes every cell integral a function of the node
-offset only, and a full cell is four reflected quarter cells, so one Gauss
-table over the quarter cell gives the offset table by sums and flips; its
-Gauss rule is graded by the distance from the quarter cell.  The problem
-is Dirichlet (u = 0 off the domain), so the 2-D apply takes only fields
+cells.  A cell integral is a function of the node offset only, even along
+each axis, so the N^2 entries at offsets [0, N)^2 are mirrored into an
+exactly even table.  Beyond 24 cells a 4-point Gauss rule over the whole
+cell is exact to rounding; within, a cell is four reflected quarter cells
+under a Gauss rule graded by distance.  The problem is Dirichlet (u = 0 off the domain), so the 2-D apply takes only fields
 that vanish on the boundary nodes, the only nodes whose cells the domain
 clips; `convolve` raises OutOfRange on any other field.
 Every table (the 1-D Riesz and odd moment generators, the 2-D offset
 table and moment kernels) takes one FFT convolution: its `_spectrum`, and
-`_fft_apply`, which keeps outputs N-1 .. 2N-2 along each axis.
+`_fft_apply`, which keeps outputs N-1 .. 2N-2 along each axis; the 2-D
+spectra are kept on the `RieszWeights`.
 
 In 1-D and 2-D, an exactly even Dirichlet field on an even grid takes a
 half-grid symmetric convolution (`_even_apply`) from and to its first
@@ -61,10 +62,11 @@ from .grids import DomainSpec, GridField, even_half, mirror
 
 _MAX_GRID_2D = 512
 
-# the quarter-cell rule by distance from the quarter cell, in units of the
-# larger spacing: 4 points everywhere, refined to 6 points within 16 and to
-# 12 within 4, each exact to rounding where it is used; 40 points on the
-# offsets within 4 cells on both axes
+# the rule by distance in units of the larger spacing: 4 points over the
+# whole cell beyond _NEAR_CELLS, else over the quarter cell, refined to 6
+# points within 16 and to 12 within 4, each exact to rounding where it is
+# used; 40 points on the offsets within 4 cells on both axes
+_NEAR_CELLS = 24.0
 _GAUSS_FAR = np.polynomial.legendre.leggauss(4)
 _GAUSS_GRADED = ((16.0, np.polynomial.legendre.leggauss(6)),
                  (4.0, np.polynomial.legendre.leggauss(12)))
@@ -82,7 +84,7 @@ class RieszWeights:
     # never set: no layout stores dense rows; readers of weights
     # (benchmarks/spans.py) test it to pick the layout's byte count
     matrix: np.ndarray | None = None
-    # 2-D: full-cell offset table, from one quarter-cell table (_quarter_table).
+    # 2-D: full-cell offset table, mirrored from `_cell_table`.
     # 1-D: generator by column-minus-row offset + N - 1, and the corrections
     # of the first and last columns (half hats minus full hats); 2-D
     # weights leave those empty, because a Dirichlet field has no end terms.
@@ -101,6 +103,18 @@ class RieszWeights:
     def even_spectrum(self):
         """The window spectra of `_even_apply`, at the first half apply."""
         return _even_spectrum(self.offsets)
+
+    @functools.cached_property
+    def moment_spectra(self):
+        """2-D: the spectra of the moment kernels (x - t)_i |x - t|^{-(mu+2)}
+        hx hy by the offset t - x, diagonal cell dropped (PV symmetry)."""
+        hx, hy = self.domain.spacings()
+        offs = -np.arange(1 - self.domain.n_grid, self.domain.n_grid)   # x - t
+        dx, dy = offs[:, None] * hx, offs[None, :] * hy
+        r = np.hypot(dx, dy)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return [_spectrum(np.where(r > 0, d * r ** (-(self.mu + 2.0)), 0.0) * hx * hy)
+                    for d in (dx, dy)]
 
 
 # --------------------------------------------------------------------------
@@ -294,40 +308,64 @@ def _singular_quadrant(a, b, mu):
 
 def _gauss_quarter(k, l, hx, hy, mu, rule):
     """Kernel integral over the quarter cell [0,hx/2]x[0,hy/2] seen from
-    (k hx, l hy); k and l broadcast, and only k = l = 0 touches the cell."""
+    (k hx, l hy); k and l broadcast, and only k = l = 0 touches the cell.
+    One pass per node along x, the y nodes contracted with their weights."""
     nodes, weights = 0.25 * (rule[0] + 1.0), 0.25 * rule[1]   # on [0, 1/2]
-    dxs = [(k - a) * hx for a in nodes]
-    dys = [(l - b) * hy for b in nodes]
-    out = np.zeros(np.broadcast_shapes(np.shape(k), np.shape(l)))
-    term = np.empty_like(out)
-    for dx, wa in zip(dxs, weights):
-        for dy, wb in zip(dys, weights):
-            np.hypot(dx, dy, out=term)
-            np.power(term, -mu, out=term)
-            np.multiply(wa * wb, term, out=term)
-            out += term
+    k = np.asarray(k)[..., None]
+    dy2 = ((np.asarray(l)[..., None] - nodes) * hy) ** 2
+    out = 0.0
+    for a, wa in zip(nodes, weights):
+        out = out + wa * ((((k - a) * hx) ** 2 + dy2) ** (-0.5 * mu) @ weights)
     return hx * hy * out
 
 
-def _quarter_table(domain: DomainSpec, mu):
-    """q[k + N-1, l + N-1]: the kernel integral over the quarter cell
-    [0,hx/2]x[0,hy/2] seen from offset (k, l), by the graded Gauss rule."""
-    n = domain.n_grid
-    hx, hy = domain.spacings()
-    offs = np.arange(-(n - 1), n)
-    q = _gauss_quarter(offs[:, None], offs[None, :], hx, hy, mu, _GAUSS_FAR)
+def _quarter_table(kx, ky, hx, hy, mu):
+    """q[k + kx-1, l + ky-1], |k| < kx, |l| < ky: the kernel integral over
+    the quarter cell [0,hx/2]x[0,hy/2] seen from offset (k, l), by the
+    graded Gauss rule."""
+    ox, oy = np.arange(1 - kx, kx), np.arange(1 - ky, ky)
+    q = _gauss_quarter(ox[:, None], oy[None, :], hx, hy, mu, _GAUSS_FAR)
     # distance of each offset from [0, 1/2] per axis, in cells
-    gap = np.maximum(-offs, offs - 0.5)
-    dist = np.hypot(gap[:, None] * hx, gap[None, :] * hy) / max(hx, hy)
+    gx, gy = np.maximum(-ox, ox - 0.5), np.maximum(-oy, oy - 0.5)
+    dist = np.hypot(gx[:, None] * hx, gy[None, :] * hy) / max(hx, hy)
     for bound, rule in _GAUSS_GRADED:
         i, j = np.nonzero(dist <= bound)
-        q[i, j] = _gauss_quarter(offs[i], offs[j], hx, hy, mu, rule)
-    near = offs[np.abs(offs) <= 4]
-    q[np.ix_(near + n - 1, near + n - 1)] = _gauss_quarter(
-        near[:, None], near[None, :], hx, hy, mu, _GAUSS_NEAR)
+        q[i, j] = _gauss_quarter(ox[i], oy[j], hx, hy, mu, rule)
+    nx, ny = ox[np.abs(ox) <= 4], oy[np.abs(oy) <= 4]
+    q[np.ix_(nx + kx - 1, ny + ky - 1)] = _gauss_quarter(
+        nx[:, None], ny[None, :], hx, hy, mu, _GAUSS_NEAR)
     # exact polar value on the singular quarter
-    q[n - 1, n - 1] = _singular_quadrant(hx / 2.0, hy / 2.0, mu)
+    q[kx - 1, ky - 1] = _singular_quadrant(hx / 2.0, hy / 2.0, mu)
     return q
+
+
+def _cell_table(domain: DomainSpec, mu):
+    """c[k, l], k, l = 0 .. N-1: the kernel integral over the cell
+    [-hx/2,hx/2]x[-hy/2,hy/2] seen from offset (k, l): the 4-point rule
+    beyond _NEAR_CELLS, else the graded rule on its four quarters."""
+    n = domain.n_grid
+    hx, hy = domain.spacings()
+    nodes, weights = 0.5 * _GAUSS_FAR[0], 0.5 * _GAUSS_FAR[1]   # on [-1/2, 1/2]
+    offs = np.arange(n)
+    dx2, dy2 = (((offs[:, None] - nodes) * h) ** 2 for h in (hx, hy))
+    # one node pair per pass, so no temporary is larger than the table
+    cells, term = np.zeros((n, n)), np.empty((n, n))
+    for (i, wa), (j, wb) in itertools.product(enumerate(weights), repeat=2):
+        np.add(dx2[:, i, None], dy2[:, j], out=term)
+        np.power(term, -0.5 * mu, out=term)
+        term *= wa * wb
+        cells += term
+    cells *= hx * hy
+    # distance of each offset from the cell per axis, in cells
+    gap = np.maximum(offs - 0.5, 0.0)
+    reach = _NEAR_CELLS * max(hx, hy)
+    kx, ky = (np.count_nonzero(gap * h <= reach) for h in (hx, hy))
+    q = _quarter_table(kx, ky, hx, hy, mu)
+    # the four quarters of a cell: q(k, l) + q(-k, l), plus that pair at -l
+    half = q + q[::-1, :]
+    np.copyto(cells[:kx, :ky], (half + half[:, ::-1])[kx - 1:, ky - 1:],
+              where=np.hypot(gap[:kx, None] * hx, gap[:ky] * hy) <= reach)
+    return cells
 
 
 # --------------------------------------------------------------------------
@@ -350,10 +388,9 @@ def build_weights(domain: DomainSpec, mu) -> RieszWeights:
         raise OutOfRange(
             f"2-D weights capped at N = {_MAX_GRID_2D} per axis; "
             f"reduce the grid resolution (got {domain.n_grid})")
-    q = _quarter_table(domain, mu)
-    # full cells: four reflected quarters, summed so that the table is even
-    half = q + q[::-1, :]
-    return RieszWeights(mu=mu, domain=domain, offsets=half + half[:, ::-1])
+    # mirrored from the unique offsets, so the table is exactly even
+    offsets = np.pad(_cell_table(domain, mu), [(domain.n_grid - 1, 0)] * 2, mode="reflect")
+    return RieszWeights(mu=mu, domain=domain, offsets=offsets)
 
 
 def convolve(weights: RieszWeights, f: GridField) -> GridField:

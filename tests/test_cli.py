@@ -3,13 +3,14 @@ import itertools
 import json
 import os
 import re
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fhl import spectral
+from fhl import riesz, spectral
 from fhl.cli import (_write_solution_csv, build_parser, parse_config, run_command,
                      serialize_config)
 from fhl.errors import MissingRequired, UnknownKey, WrongType
@@ -111,6 +112,22 @@ def test_solve_and_archive(tmp_path, capsys):
     assert payload["record"]["converged"] is True
     assert (tmp_path / "out" / "solution.csv").exists()
 
+
+
+def test_solve_wall_time_excludes_setup(tmp_path, monkeypatch):
+    """solve.json's wall_time_s times the solve alone, as report.json's
+    times the continuation: a weight build that sleeps 0.5 s is not in it."""
+    build = riesz.build_weights
+
+    def slow_build(*args):
+        time.sleep(0.5)
+        return build(*args)
+
+    monkeypatch.setattr(riesz, "build_weights", slow_build)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(GOOD + "\nmax_iter=2000\n")
+    assert run_command(["solve", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "solve.json").read_text())["wall_time_s"] < 0.5
 
 def test_continuation_deterministic_replay(tmp_path):
     """Criterion-12 style replay on a small config: identical report.json

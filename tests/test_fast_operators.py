@@ -12,8 +12,9 @@ here, and its table term against `fftconvolve` on the stored table.  The
 half-grid apply of exactly even fields, in 1-D and 2-D, is checked against
 the full `_fft_apply`, which stays its oracle, and every field that is not
 exactly even, or not a single field on an even grid, must take the full
-path.  The graded far-field rule of the 2-D build is checked against the
-12-point rule on every offset, and the 1-D applies against a copy of the
+path.  The tiered 2-D build is checked against the 12-point quarter rule
+folded into full cells on every offset, its table for exact evenness and
+its peak memory against the table's size, and the 1-D applies against a copy of the
 `scipy.fft` apply they replaced, bit for bit.
 
 The numpy kernels that replaced SciPy routines are checked against them
@@ -21,6 +22,8 @@ The numpy kernels that replaced SciPy routines are checked against them
 DST-I on both parities of P = len + 1, the FFT sizes, and the singular
 quarter cell over the kernel exponents and aspect ratios of 2-D builds.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -412,11 +415,34 @@ def _quarter_12(dom, mu):
 @given(n=st.integers(40, 96), mu=st.floats(0.05, 1.95),
        ratio=st.floats(0.25, 4.0))
 def test_graded_build_matches_12_point_rule(n, mu, ratio):
-    # N >= 40 reaches past 16 cells on the coarser axis, so every tier acts
+    # N >= 40 reaches past 24 cells on the coarser axis, so every tier acts
     dom = rectangle(0.0, 1.0, 0.0, ratio, n)
-    q, oracle = riesz._quarter_table(dom, mu), _quarter_12(dom, mu)
-    # every entry, not only the sums of entries the offset table holds
-    assert np.max(np.abs(q - oracle) / oracle) < 1e-14
+    q = _quarter_12(dom, mu)
+    half = q + q[::-1, :]
+    oracle = half + half[:, ::-1]       # each full cell: four quarters
+    offsets = riesz.build_weights(dom, mu).offsets
+    assert np.max(np.abs(offsets - oracle) / oracle) < 1e-14
+
+
+@pytest.mark.parametrize("dom", [rectangle(0.0, 1.0, 0.0, 1.0, 64),
+                                 rectangle(0.0, 1.4, 0.0, 0.9, 65)])
+def test_offset_table_is_exactly_even(dom):
+    """`_even_apply` reads one half of the table along each axis."""
+    t = riesz.build_weights(dom, 1.1).offsets
+    assert np.array_equal(t, t[::-1]) and np.array_equal(t, t[:, ::-1])
+
+
+def test_2d_build_peak_memory():
+    """The table is built from its N^2 unique entries: no temporary as
+    large as the (2N-1)^2 table it mirrors them into."""
+    dom = rectangle(0.0, 1.0, 0.0, 1.0, 256)
+    tracemalloc.start()
+    try:
+        w = riesz.build_weights(dom, 1.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * w.offsets.nbytes
 
 
 # --------------------------------------------------------------------------
