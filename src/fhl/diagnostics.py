@@ -49,6 +49,13 @@ class ContinuationReport:
         }
 
 
+def _strip_radius(r):
+    """r, unless it is not a positive strip radius (NaN is not)."""
+    if not r > 0.0:
+        raise DegenerateStrip(f"strip radius must be positive, got {r}")
+    return r
+
+
 def _strip_quantities(rec: SolutionRecord, margin):
     dom = rec.grid.domain
     interior = dom.interior_mask(margin)
@@ -80,14 +87,16 @@ def _rate_lhs(params: Params, eps, sup):
 def continuation(params: Params, domain: DomainSpec, eps_list, opts, basis, weights,
                  window=3.0, strip_cells=10) -> ContinuationReport:
     """Warm-started solves over a strictly decreasing eps schedule."""
+    if not 0.0 < window < math.inf:
+        raise OutOfRange(f"window must be positive and finite, got {window}")
+    margin = _strip_radius(strip_cells * max(domain.spacings()))
     eps_list = [float(e) for e in eps_list]
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise OutOfRange("eps_list must be strictly decreasing")
     if any(e <= 0.0 for e in eps_list):
         raise OutOfRange("eps values must be positive")
     report = ContinuationReport(params=params, domain=domain, eps_list=eps_list,
-                                records=[], derived=[],
-                                strip_margin=strip_cells * max(domain.spacings()))
+                                records=[], derived=[], strip_margin=margin)
     if not eps_list:
         return report
     seed = opts.seed
@@ -289,6 +298,7 @@ def pohozaev_balance(record: SolutionRecord, params: Params, basis, weights, r):
     interior / max(sum, floor).
     """
     dom = record.grid.domain
+    _strip_radius(r)
     solver.check_kernel(weights, solver.kernel_exponent(params), dom)
     n, s = params.n, params.s
     p = solver._problem_terms(params)[0]
@@ -362,8 +372,7 @@ def boundary_bounds(report: ContinuationReport, r):
     `_rate_exponent`.  The bar is computed from eps_list alone,
     never from the measured sup norms.
     """
-    if r <= 0.0:
-        raise DegenerateStrip(f"strip radius must be positive, got {r}")
+    _strip_radius(r)
     inradius = 0.5 * min(report.domain.sides)
     if r >= inradius:
         raise DegenerateStrip(

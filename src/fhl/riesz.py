@@ -15,9 +15,10 @@ cells.  A cell integral is a function of the node offset only, even along
 each axis, so the N^2 entries at offsets [0, N)^2 are mirrored into an
 exactly even table.  Beyond 24 cells a 4-point Gauss rule over the whole
 cell is exact to rounding; within, a cell is four reflected quarter cells
-under a Gauss rule graded by distance.  The problem is Dirichlet (u = 0 off the domain), so the 2-D apply takes only fields
-that vanish on the boundary nodes, the only nodes whose cells the domain
-clips; `convolve` raises OutOfRange on any other field.
+under a Gauss rule graded by distance.  The problem is Dirichlet (u = 0
+off the domain), so the 2-D apply takes only fields that vanish on the
+boundary nodes, the only nodes whose cells the domain clips; `convolve`
+raises OutOfRange on any other field.
 Every table (the 1-D Riesz and odd moment generators, the 2-D offset
 table and moment kernels) takes one FFT convolution: its `_spectrum`, and
 `_fft_apply`, which keeps outputs N-1 .. 2N-2 along each axis; the 2-D

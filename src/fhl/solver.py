@@ -173,7 +173,7 @@ def _seed_values(seed: Seed, params, domain, basis):
         return synthesis(SpectralField(basis, coeffs)).values
     if seed.kind == "warm_start":
         if seed.field.domain != domain:
-            raise OutOfRange("warm start requires a field on the solve grid")
+            raise GridMismatch("warm start requires a field on the solve grid")
         vals = seed.field.values.copy()
     else:
         centre = tuple(0.5 * (lo + hi) for lo, hi in domain.ranges())

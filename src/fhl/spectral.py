@@ -17,14 +17,13 @@ one point or a whole grid of them, in either dimension.
 Analysis and synthesis are a DST-I on an interval, computed from numpy
 real FFTs through the symmetric-extension view of the sine transforms
 (Martucci, IEEE Trans. Signal Process. 42 (1994)), so the module needs no
-SciPy, and parity-folded products on a rectangle.  An exactly even field
-on an even grid is held by its first M = N/2 nodes per axis, the half
-(1-D) or quarter (2-D), which the half transforms read and write: its
-even-k coefficients are exactly zero, and odd-k coefficients alone
-synthesize an exactly even field.  The Picard loop decides the parity
-once per solve and calls them itself; `analysis` and `synthesis` detect it
-per call, for every other caller.  The dense `sine_tables` products stay
-as the oracle.
+SciPy, and products with the per-axis `sine_tables` on a rectangle.  An
+exactly even field on an even grid is held by its first M = N/2 nodes per
+axis, the half (1-D) or quarter (2-D), which the half transforms read and
+write: its even-k coefficients are exactly zero, and odd-k coefficients
+alone synthesize an exactly even field.  The Picard loop decides the
+parity once per solve and calls them itself; `analysis` and `synthesis`
+detect it per call, for every other caller.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constants
-from .errors import (DiagonalEvaluation, ExtrapolationDiverged,
+from .errors import (DiagonalEvaluation, ExtrapolationDiverged, GridMismatch,
                      NoCriticalPoint, OutOfRange, UnderResolved)
 from .grids import DomainSpec, GridField, as_points, even_half, mirror
 
@@ -87,11 +86,18 @@ class EigenBasis:
             self._green_cache[key] = amp
         return self._green_cache[key]
 
-    def _sampled_sines(self, cols):
-        """Per-axis sqrt(2/L) sin(k pi (x - lo)/L), k = 1 .. k_max, at the
-        node indices cols of every axis; at most _MAX_SAMPLED entries."""
+    @functools.cached_property
+    def sine_tables(self):
+        """Per-axis sampled modes sqrt(2/L) sin(k pi (x - lo)/L), k = 1 ..
+        k_max, at every node (k_max x N); at most _MAX_SAMPLED entries.
+
+        The endpoint columns are exact zeros (sin k pi = 0).  On an interval
+        the one table is the whole K x N mode matrix, the dense oracle of
+        the DST-I transforms; on a rectangle the transforms are products
+        with the tables.
+        """
         kmax = [int(k.max()) for k in self._axis_modes()]
-        entries = sum(kmax) * len(cols)
+        entries = sum(kmax) * self.domain.n_grid
         if entries > _MAX_SAMPLED:
             raise OutOfRange(
                 f"sampled sine tables of {entries} entries exceed the cap; "
@@ -100,43 +106,23 @@ class EigenBasis:
         for k_top, (lo, _), length, x in zip(kmax, self.domain.ranges(),
                                              self.domain.sides, self.domain.axes()):
             k = np.arange(1, k_top + 1, dtype=float)
-            tables.append(math.sqrt(2.0 / length) * np.sin(
-                np.outer(k, (x[cols] - lo)) * math.pi / length))
-        return tables
-
-    @functools.cached_property
-    def sine_tables(self):
-        """Per-axis sampled sine modes k = 1 .. k_max (k_max x N).
-
-        The endpoint columns are exact zeros (sin k pi = 0).  On an interval
-        the one table is the whole K x N mode matrix, the dense oracle of
-        the DST-I transforms; on a rectangle they are the dense oracle of
-        the folded transforms.
-        """
-        tables = self._sampled_sines(np.arange(self.domain.n_grid))
-        for table in tables:
+            table = math.sqrt(2.0 / length) * np.sin(
+                np.outer(k, x - lo) * math.pi / length)
             table[:, [0, -1]] = 0.0
+            tables.append(table)
         return tuple(tables)
 
     @functools.cached_property
-    def _folded_tables(self):
-        """Per-axis half tables of the folded rectangle transforms, and the
-        position of each mode in their parity-sorted coefficient box.
-
-        Per axis (odd, even): the odd-k rows k = 1, 3, .. at the nodes
-        j = 1 .. h - 1 (h = N // 2), plus the middle node on an odd grid,
-        and the even-k rows at j = 1 .. h - 1.  The box is (kx, ky) with
-        the odd k of each axis before its even k.
-        """
-        n = self.domain.n_grid
-        h = n // 2
-        tables = self._sampled_sines(np.arange(1, h + n % 2))
-        halves = tuple((np.ascontiguousarray(t[0::2]),
-                        np.ascontiguousarray(t[1::2, :h - 1])) for t in tables)
-        _, (odd_y, even_y) = halves
-        pos = [(k - 1) // 2 + (k % 2 == 0) * len(odd)
-               for k, (odd, _) in zip(self._axis_modes(), halves)]
-        return halves + (pos[0] * (len(odd_y) + len(even_y)) + pos[1],)
+    def _odd_tables(self):
+        """Per-axis odd-k rows k = 1, 3, .. of the rectangle's sine tables
+        at the nodes j = 1 .. N/2 - 1, the tables of the quarter transforms,
+        and the flat position of each mode (kx, ky) in the kx_max x ky_max
+        coefficient box."""
+        h = self.domain.n_grid // 2
+        sx, sy = self.sine_tables
+        kx, ky = self._axis_modes()
+        return (np.ascontiguousarray(sx[0::2, 1:h]),
+                np.ascontiguousarray(sy[0::2, 1:h]), (kx - 1) * len(sy) + ky - 1)
 
 
 @dataclass
@@ -204,34 +190,10 @@ def build_basis(domain: DomainSpec, K) -> EigenBasis:
 # symmetric x is zero at every even k', and an x that is zero at every
 # even k' has z' = z, so its y is mirror-symmetric.
 
-# On a rectangle the grid is the same on both axes and the sampled modes
-# are mirror-symmetric, S[k, N-1-j] = (-1)^(k+1) S[k, j]: along each axis
-# the odd k see only f[j] + f[N-1-j] (and the middle node of an odd grid),
-# the even k only f[j] - f[N-1-j], for 0 < j < N/2.  Each transform is two
-# half-size products per axis; the endpoint trapezoid half-weights only
-# ever meet exact-zero sines, so analysis scales by hx hy once at the end,
-# and synthesis leaves all four edges exactly zero.
-
-def _fold(vals, axis):
-    """Mirror sums and differences along axis of the slices j and N-1-j,
-    j = 1 .. h - 1 (h = N // 2); the middle slice of an odd grid closes the
-    sums."""
-    v = np.moveaxis(vals, axis, 0)
-    n = len(v)
-    lo, hi = v[1:n // 2], v[n - 2:(n - 1) // 2:-1]
-    plus = np.concatenate([lo + hi, v[n // 2:n // 2 + n % 2]])
-    return np.moveaxis(plus, 0, axis), np.moveaxis(lo - hi, 0, axis)
-
-
-def _unfold(plus, minus, axis):
-    """The array of N slices along axis whose fold is (plus, minus); the
-    slices 0 and N-1 are zero."""
-    p, m = np.moveaxis(plus, axis, 0), np.moveaxis(minus, axis, 0)
-    zero = np.zeros_like(m[:1])
-    h = len(m)
-    out = np.concatenate([zero, p[:h] + m, p[h:], (p[:h] - m)[::-1], zero])
-    return np.moveaxis(out, 0, axis)
-
+# On a rectangle both transforms are products with the per-axis sine
+# tables on the (kx_max, ky_max) coefficient box.  The tables' endpoint
+# columns are exact zeros, so analysis needs no trapezoid half-weights and
+# synthesis leaves all four edges exactly zero.
 
 def _dst1(x, scale):
     """scale * y with y_k = 2 sum_j x_j sin(pi (k+1)(j+1) / P), P = len(x) + 1:
@@ -265,14 +227,13 @@ def _synthesize(basis: EigenBasis, coeffs, half=False):
         vals = np.zeros(n)   # exact zeros at the two Dirichlet nodes
         vals[1:-1] = _dst1(x, scale)
         return vals
-    (odd_x, even_x), (odd_y, even_y), pos = basis._folded_tables
-    kx_odd, ky_odd = len(odd_x), len(odd_y)
-    box = np.zeros((kx_odd + len(even_x), ky_odd + len(even_y)))
+    sx, sy = basis.sine_tables
+    odd_x, odd_y, pos = basis._odd_tables
+    box = np.zeros((len(sx), len(sy)))
     box.ravel()[pos] = coeffs
     if half:
-        return np.pad(odd_x.T @ (box[:kx_odd, :ky_odd] @ odd_y), ((1, 0), (1, 0)))
-    rows = _unfold(box[:, :ky_odd] @ odd_y, box[:, ky_odd:] @ even_y, 1)
-    return _unfold(odd_x.T @ rows[:kx_odd], even_x.T @ rows[kx_odd:], 0)
+        return np.pad(odd_x.T @ (box[::2, ::2] @ odd_y), ((1, 0), (1, 0)))
+    return sx.T @ box @ sy
 
 
 def _analyze(basis: EigenBasis, values):
@@ -294,16 +255,14 @@ def _analyze(basis: EigenBasis, values):
         y = np.zeros(n - 2)
         y[::2] = np.fft.rfft(np.append(z, -z[:0:-1])).imag[:0:-1] * (-2.0 * scale)
         return y[:basis.K]
-    (odd_x, even_x), (odd_y, even_y), pos = basis._folded_tables
+    sx, sy = basis.sine_tables
+    odd_x, odd_y, pos = basis._odd_tables
     if half:
-        # the mirror sums are twice the interior nodes, the differences zero
-        box = np.zeros((len(odd_x) + len(even_x), len(odd_y) + len(even_y)))
-        box[:len(odd_x), :len(odd_y)] = 2.0 * (odd_x @ (2.0 * values[1:, 1:])) @ odd_y.T
+        # the mirror sums are twice the interior nodes, the even-k rows zero
+        box = np.zeros((len(sx), len(sy)))
+        box[::2, ::2] = 2.0 * (odd_x @ (2.0 * values[1:, 1:])) @ odd_y.T
     else:
-        plus, minus = _fold(values, 0)
-        rows = np.concatenate([odd_x @ plus, even_x @ minus])
-        plus, minus = _fold(rows, 1)
-        box = np.concatenate([plus @ odd_y.T, minus @ even_y.T], axis=1)
+        box = sx @ values @ sy.T
     return box.ravel()[pos] * (spacing[0] * spacing[1])
 
 
@@ -321,7 +280,7 @@ def analysis(basis: EigenBasis, u: GridField) -> SpectralField:
     """Mode coefficients of u; exactly zero on every mode with an even k
     when u is exactly even on an even grid."""
     if u.domain != basis.domain:
-        raise OutOfRange("field grid does not match the basis domain")
+        raise GridMismatch("field grid does not match the basis domain")
     half = even_half(u.values)
     return SpectralField(basis, _analyze(basis, u.values if half is None else half))
 

@@ -314,6 +314,22 @@ def test_count_out_of_range_is_typed_error(tmp_path, monkeypatch, capsys, argv, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["modes0.cfg"]
 
 
+def test_continuation_zero_strip_is_typed_error(tmp_path, capsys):
+    """strip_cells=0 exits 1 with one JSON line before any solve and writes
+    nothing; it wrote a zero boundary_strip_sup and strip_margin before."""
+    cfg_path = tmp_path / "strip0.cfg"
+    cfg_path.write_text(GOOD + "strip_cells=0\n")
+    assert run_command(["continuation", "--config", str(cfg_path),
+                        "--eps", "0.5,0.4", "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+    payload = json.loads(captured.err)
+    assert payload["error"] == "DegenerateStrip"
+    assert "strip radius" in payload["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["strip0.cfg"]
+
+
 def test_readme_commands_match_parser():
     """Every `fhl <command>` line in README's code blocks names a subcommand,
     and every subcommand is shown there."""

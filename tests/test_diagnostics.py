@@ -87,6 +87,23 @@ def test_continuation_validates_schedule(params1):
         diagnostics.continuation(params1, dom, [0.2, -0.1], *setup)
 
 
+@pytest.mark.parametrize("kwargs, error", [
+    ({"strip_cells": 0}, DegenerateStrip), ({"strip_cells": -3}, DegenerateStrip),
+    ({"window": 0.0}, OutOfRange), ({"window": -1.0}, OutOfRange),
+    ({"window": math.inf}, OutOfRange), ({"window": math.nan}, OutOfRange)],
+    ids=["strip-0", "strip-neg", "window-0", "window-neg", "window-inf", "window-nan"])
+def test_continuation_rejects_degenerate_strip_and_window(params1, monkeypatch,
+                                                          kwargs, error):
+    """Before any solve: a strip of no cells wrote a zero boundary sup and
+    strip margin into the report, and a zero window failed only after the
+    first solve, on bounds the user never set."""
+    dom = interval(0, 1, 64)
+    setup = _sweep_setup(params1, dom)
+    monkeypatch.setattr(solver, "solve", lambda *a, **k: pytest.fail("solved"))
+    with pytest.raises(error, match="strip radius|window"):
+        diagnostics.continuation(params1, dom, [0.2, 0.1], *setup, **kwargs)
+
+
 def test_continuation_empty(params1):
     dom = interval(0, 1, 64)
     rep = diagnostics.continuation(params1, dom, [], *_sweep_setup(params1, dom))
@@ -429,6 +446,19 @@ def test_sweep_pohozaev_balance_stable(sweep1d):
     assert all(g > 0.0 for g in gaps)
     mid = sorted(gaps)[len(gaps) // 2]
     assert all(abs(g / mid - 1.0) < 0.2 for g in gaps)
+
+
+@pytest.mark.parametrize("r", [0.0, -0.1, math.nan])
+def test_degenerate_strip_radius_rejected(sweep1d, r):
+    """A strip radius that is not positive, NaN included, is a
+    DegenerateStrip wherever a strip is cut: the Pohozaev gap read NaN at
+    r = 0, and boundary_bounds gave rows of zero interior mass at NaN."""
+    report, _, weights = sweep1d
+    rec = report.records[-1]
+    with pytest.raises(DegenerateStrip, match="strip radius"):
+        diagnostics.pohozaev_balance(rec, rec.params, None, weights, r)
+    with pytest.raises(DegenerateStrip, match="strip radius"):
+        diagnostics.boundary_bounds(report, r)
 
 
 def test_pohozaev_balance_rejects_other_kernel(sweep1d):

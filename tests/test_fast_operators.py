@@ -3,9 +3,9 @@
 `oracles.riesz_rows_1d`, `riesz.moment_weights_1d` and `EigenBasis.sine_tables`
 (on an interval, the dense K x N mode matrix) stay as oracles: property
 tests over random N, mu and fields, plus one check at the sweep's grid,
-N = 4096, with the sweep's kernel exponent.  On a rectangle the sine
-tables' dense products check the parity-folded transforms, on even and
-odd grids.
+N = 4096, with the sweep's kernel exponent.  On a rectangle, where the
+transforms are the sine tables' products, `scipy.fft.dst` along both axes
+checks them, on even and odd grids.
 
 The 2-D apply is checked against a dense quarter-cell quadrature built
 here, and its table term against `fftconvolve` on the stored table.  The
@@ -101,25 +101,29 @@ def test_sine_transforms_match_phi_grid(n, frac, length, seed):
 @example(n=17, aspect=0.25, frac=1.0, seed=1)
 @example(n=33, aspect=4.0, frac=0.0, seed=2)
 @example(n=37, aspect=1.7, frac=0.5, seed=3)
-def test_folded_rectangle_transforms_match_dense(n, aspect, frac, seed):
-    """Folded analysis and synthesis against the dense products
-    sx (wx U wy) sy^T and sx^T A sy, to 1e-13 of the sum of |terms|."""
+def test_rectangle_transforms_match_scipy_dst(n, aspect, frac, seed):
+    """Analysis and synthesis against `scipy.fft.dst(type=1)` along both
+    axes of the interior nodes, to 1e-13 of the sum of |terms|: analysis
+    scales it by hx sqrt(2/Lx)/2 hy sqrt(2/Ly)/2, synthesis by
+    sqrt(2/Lx)/2 sqrt(2/Ly)/2."""
     dom = rectangle(-0.3, 0.7, 0.1, 0.1 + aspect, n)
     basis = spectral.build_basis(dom, 1 + int(frac * ((n // 2) ** 2 - 1)))
     sx, sy = basis.sine_tables
     kx, ky = basis.modes[:, 0] - 1, basis.modes[:, 1] - 1
+    scale = np.prod(np.sqrt(2.0 / np.array(dom.sides)) / 2.0)
+    hxy = np.prod(dom.spacings())
     rng = np.random.default_rng(seed)
     u = rng.normal(size=(n, n))
-    wx, wy = dom.trap_weights()
-    wu = wx[:, None] * u * wy[None, :]
     a = spectral.analysis(basis, GridField(dom, u)).coeffs
-    terms = (np.abs(sx) @ np.abs(wu) @ np.abs(sy).T)[kx, ky]
-    assert np.all(np.abs(a - (sx @ wu @ sy.T)[kx, ky]) <= 1e-13 * terms)
-    amat = np.zeros((sx.shape[0], sy.shape[0]))
+    dst = sfft.dst(sfft.dst(u[1:-1, 1:-1], type=1, axis=0), type=1, axis=1)
+    terms = (np.abs(sx) @ np.abs(u) @ np.abs(sy).T)[kx, ky] * hxy
+    assert np.all(np.abs(a - hxy * scale * dst[kx, ky]) <= 1e-13 * terms)
+    amat = np.zeros((n - 2, n - 2))
     amat[kx, ky] = rng.normal(size=basis.K)
     v = spectral.synthesis(SpectralField(basis, amat[kx, ky])).values
-    terms = np.abs(sx).T @ np.abs(amat) @ np.abs(sy)
-    assert np.all(np.abs(v - sx.T @ amat @ sy) <= 1e-13 * terms)
+    dst = sfft.dst(sfft.dst(amat, type=1, axis=0), type=1, axis=1)
+    terms = np.abs(sx).T @ np.abs(amat[:len(sx), :len(sy)]) @ np.abs(sy)
+    assert np.all(np.abs(v[1:-1, 1:-1] - scale * dst) <= 1e-13 * terms[1:-1, 1:-1])
     for edge in (v[0], v[-1], v[:, 0], v[:, -1]):
         assert np.all(edge == 0.0)
     back = spectral.analysis(basis, GridField(dom, v)).coeffs
@@ -320,13 +324,14 @@ def test_convolve_off_exact_evenness_takes_full_path():
 
 
 @pytest.mark.parametrize("n", [64, 65])
-def test_folded_transforms_keep_exact_evenness(n):
-    """Through `analysis` and `synthesis`, an exactly even field has
-    exactly zero coefficients on every mode with an even k, and odd-k
-    coefficients alone synthesize an exactly even field: on a rectangle on
-    both grid parities, and on an interval of 2n nodes, an even grid,
-    where the DST-I has an odd P = N - 1.  On an even grid the half
-    transforms give the same, from and to the half or quarter."""
+def test_transforms_keep_exact_evenness(n):
+    """Through `analysis` and `synthesis`, an exactly even field on an even
+    grid has exactly zero coefficients on every mode with an even k, and
+    odd-k coefficients alone synthesize an exactly even field: on a
+    rectangle, and on an interval of 2n nodes, where the DST-I has an odd
+    P = N - 1.  The half transforms give the same, from and to the half or
+    quarter.  On the odd rectangle, which has no quarter path, both hold
+    to 1e-14 of the sum of |terms|."""
     rng = np.random.default_rng(n)
     for dom in (rectangle(0.0, 1.4, 0.0, 0.9, n), interval(0.0, 1.4, 2 * n)):
         basis = spectral.build_basis(dom, (n // 2) ** dom.dim)
@@ -336,14 +341,24 @@ def test_folded_transforms_keep_exact_evenness(n):
             np.moveaxis(u, axis, 0)[[0, -1]] = 0.0
         even_k = np.any(basis.modes.reshape(basis.K, -1) % 2 == 0, axis=1)
         a = spectral.analysis(basis, GridField(dom, u)).coeffs
-        assert np.all(a[even_k] == 0.0) and np.all(a[~even_k] != 0.0)
+        assert np.all(a[~even_k] != 0.0)
         c = np.where(even_k, 0.0, rng.normal(size=basis.K))
         v = spectral.synthesis(SpectralField(basis, c)).values
-        assert _is_even(v)
         if dom.n_grid % 2 == 0:
+            assert np.all(a[even_k] == 0.0) and _is_even(v)
             assert np.array_equal(spectral._analyze(basis, even_half(u)), a)
             assert np.array_equal(spectral._synthesize(basis, c, half=True),
                                   even_half(v))
+            continue
+        sx, sy = basis.sine_tables
+        kx, ky = basis.modes[:, 0] - 1, basis.modes[:, 1] - 1
+        terms = (np.abs(sx) @ np.abs(u) @ np.abs(sy).T)[kx, ky] * np.prod(dom.spacings())
+        assert np.all(np.abs(a[even_k]) <= 1e-14 * terms[even_k])
+        box = np.zeros((len(sx), len(sy)))
+        box[kx, ky] = np.abs(c)
+        terms = np.abs(sx).T @ box @ np.abs(sy)
+        for axis in range(dom.dim):
+            assert np.all(np.abs(v - np.flip(v, axis)) <= 1e-14 * terms)
 
 
 def _scipy_apply(offsets, values):

@@ -123,6 +123,22 @@ def test_weights_for_another_grid_rejected(small_setup, small_record, name):
         calls[name]()
 
 
+@pytest.mark.parametrize("name", ["analysis", "warm_start"])
+def test_field_on_another_grid_rejected(small_setup, small_record, name):
+    """A field on [0, 2] for the basis and solve grid on [0, 1] is a
+    GridMismatch, as it is for the Riesz apply and GridField.inner; both
+    sites raised OutOfRange before."""
+    params, dom, basis, weights = small_setup
+    other = GridField(interval(0.0, 2.0, 256), small_record.grid.values)
+    calls = {
+        "analysis": lambda: spectral.analysis(basis, other),
+        "warm_start": lambda: solver.solve(
+            params, dom, basis, weights, SolveOptions(seed=Seed.warm_start(other))),
+    }
+    with pytest.raises(GridMismatch, match="grid"):
+        calls[name]()
+
+
 def test_energy_quotient_phi1_against_brute_force(small_setup):
     """Quotient of phi_1 against an independently coded double sum."""
     params, dom, basis, weights = small_setup
