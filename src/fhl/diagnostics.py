@@ -49,10 +49,13 @@ class ContinuationReport:
         }
 
 
-def _strip_radius(r):
-    """r, unless it is not a positive strip radius (NaN is not)."""
-    if not r > 0.0:
-        raise DegenerateStrip(f"strip radius must be positive, got {r}")
+def _strip_radius(r, domain: DomainSpec):
+    """r, unless it is not a strip radius of the domain: 0 < r < half its
+    shortest side, the inradius (NaN is not), so M(Omega, r) is not empty."""
+    inradius = 0.5 * min(domain.sides)
+    if not 0.0 < r < inradius:
+        raise DegenerateStrip(
+            f"strip radius {r} must lie in (0, {inradius}), below the inradius")
     return r
 
 
@@ -89,7 +92,7 @@ def continuation(params: Params, domain: DomainSpec, eps_list, opts, basis, weig
     """Warm-started solves over a strictly decreasing eps schedule."""
     if not 0.0 < window < math.inf:
         raise OutOfRange(f"window must be positive and finite, got {window}")
-    margin = _strip_radius(strip_cells * max(domain.spacings()))
+    margin = _strip_radius(strip_cells * max(domain.spacings()), domain)
     eps_list = [float(e) for e in eps_list]
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise OutOfRange("eps_list must be strictly decreasing")
@@ -120,14 +123,14 @@ def continuation(params: Params, domain: DomainSpec, eps_list, opts, basis, weig
             "rate_lhs": _rate_lhs(p_eps, eps, rec.sup_norm),
             "sup_norm": rec.sup_norm,
             "sup_norm_interp": rec.sup_norm_interp,
-            "domination_c": _domination_constant(v, p_eps, window),
+            "domination_c": _domination_constant(v, p_eps),
             "residual": rec.residual,
             "quotient": rec.quotient,
         })
     return report
 
 
-def _domination_constant(v: GridField, params: Params, window):
+def _domination_constant(v: GridField, params: Params):
     """Empirical smallest c with v <= c W[0,1] on the rescaled window."""
     w_ref = bubbles.eval_bubble(bubbles.unit_w(params),
                                 np.stack(v.domain.mesh(), axis=-1))
@@ -298,7 +301,8 @@ def pohozaev_balance(record: SolutionRecord, params: Params, basis, weights, r):
     interior / max(sum, floor).
     """
     dom = record.grid.domain
-    _strip_radius(r)
+    if not r > 0.0:
+        raise DegenerateStrip(f"strip radius must be positive, got {r}")
     solver.check_kernel(weights, solver.kernel_exponent(params), dom)
     n, s = params.n, params.s
     p = solver._problem_terms(params)[0]
@@ -372,11 +376,7 @@ def boundary_bounds(report: ContinuationReport, r):
     `_rate_exponent`.  The bar is computed from eps_list alone,
     never from the measured sup norms.
     """
-    _strip_radius(r)
-    inradius = 0.5 * min(report.domain.sides)
-    if r >= inradius:
-        raise DegenerateStrip(
-            f"strip radius {r} reaches the inradius {inradius}; M(Omega, r) empty")
+    _strip_radius(r, report.domain)
     rows = []
     for rec in report.records:
         strip_sup, interior_l1 = _strip_quantities(rec, r)

@@ -52,7 +52,7 @@ class EigenBasis:
     domain: DomainSpec
     K: int
     lambdas: np.ndarray               # sorted ascending
-    modes: np.ndarray                 # (K,) k indices or (K,2) (kx,ky) pairs
+    modes: np.ndarray                 # (K, dim) per-axis k of each mode
     # per-s mode arrays of the Green sums, filled by _green_arrays
     _green_cache: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
@@ -61,53 +61,66 @@ class EigenBasis:
     def dim(self):
         return self.domain.dim
 
-    def _axis_modes(self):
-        """Per-axis mode indices k of the K modes; (dim, K)."""
-        return self.modes.reshape(self.K, self.dim).T
+    @functools.cached_property
+    def box(self):
+        """Per-axis k_max of the modes: the shape of the coefficient box."""
+        return tuple(int(k) for k in self.modes.max(axis=0))
+
+    @functools.cached_property
+    def _box_pos(self):
+        """The flat position of each mode (k_1 - 1, ..) in the box."""
+        return np.ravel_multi_index(tuple(self.modes.T - 1), self.box)
+
+    def sines(self, axis, x):
+        """sqrt(2/L) sin((x - lo) (k pi)/L) along axis, k = 1 .. box[axis], at
+        the coordinates x; x.shape + (k_max,).  The one sine evaluator, read
+        by the tables and the Green and Robin sums.  It evaluates once per
+        distinct coordinate: the landscape points share coordinates and,
+        unless d0 is clipped, offsets."""
+        (lo, _), length = self.domain.ranges()[axis], self.domain.sides[axis]
+        vals, inv = np.unique(x, return_inverse=True)
+        return math.sqrt(2.0 / length) * np.sin(
+            (vals[:, None] - lo) * (np.arange(1, self.box[axis] + 1) * math.pi) / length
+        )[inv.reshape(np.shape(x))]
 
     def _green_arrays(self, s):
         """The mode array of the Green sums that depends only on (basis, s),
         computed on first use and read-only: (k pi/L)^(-2s) on an interval;
-        on a rectangle the (2, kx_max, ky_max) box of w/lambda^s at each mode
+        on a rectangle the (2,) + box array of w/lambda^s at each mode
         (kx, ky) and 0 elsewhere, for the mollifier weights
         w8 = exp(-8 (lambda/lambda_K)^2) and w16 = w8^2."""
         key = float(s)
         if key not in self._green_cache:
             if self.dim == 1:
-                k = self.modes.astype(float)
-                amp = (k * math.pi / self.domain.sides[0]) ** (-2.0 * s)
+                amp = (self.modes[:, 0] * math.pi / self.domain.sides[0]) ** (-2.0 * s)
             else:
                 lam = self.lambdas
                 w8 = np.exp(-_MOLL_C * (lam / lam[-1]) ** 2)
-                kx, ky = self._axis_modes()
-                amp = np.zeros((2, kx.max(), ky.max()))
-                amp[:, kx - 1, ky - 1] = np.stack([w8, w8 * w8]) / lam ** s
+                amp = np.zeros((2, math.prod(self.box)))
+                amp[:, self._box_pos] = np.stack([w8, w8 * w8]) / lam ** s
+                amp = amp.reshape((2,) + self.box)
             amp.flags.writeable = False
             self._green_cache[key] = amp
         return self._green_cache[key]
 
     @functools.cached_property
     def sine_tables(self):
-        """Per-axis sampled modes sqrt(2/L) sin(k pi (x - lo)/L), k = 1 ..
-        k_max, at every node (k_max x N); at most _MAX_SAMPLED entries.
+        """Per-axis `sines` at every node, transposed (k_max x N); at most
+        _MAX_SAMPLED entries.
 
         The endpoint columns are exact zeros (sin k pi = 0).  On an interval
         the one table is the whole K x N mode matrix, the dense oracle of
         the DST-I transforms; on a rectangle the transforms are products
         with the tables.
         """
-        kmax = [int(k.max()) for k in self._axis_modes()]
-        entries = sum(kmax) * self.domain.n_grid
+        entries = sum(self.box) * self.domain.n_grid
         if entries > _MAX_SAMPLED:
             raise OutOfRange(
                 f"sampled sine tables of {entries} entries exceed the cap; "
                 "use series evaluation instead")
         tables = []
-        for k_top, (lo, _), length, x in zip(kmax, self.domain.ranges(),
-                                             self.domain.sides, self.domain.axes()):
-            k = np.arange(1, k_top + 1, dtype=float)
-            table = math.sqrt(2.0 / length) * np.sin(
-                np.outer(k, x - lo) * math.pi / length)
+        for axis, x in enumerate(self.domain.axes()):
+            table = np.ascontiguousarray(self.sines(axis, x).T)
             table[:, [0, -1]] = 0.0
             tables.append(table)
         return tuple(tables)
@@ -115,14 +128,9 @@ class EigenBasis:
     @functools.cached_property
     def _odd_tables(self):
         """Per-axis odd-k rows k = 1, 3, .. of the rectangle's sine tables
-        at the nodes j = 1 .. N/2 - 1, the tables of the quarter transforms,
-        and the flat position of each mode (kx, ky) in the kx_max x ky_max
-        coefficient box."""
+        at the nodes j = 1 .. N/2 - 1, the tables of the quarter transforms."""
         h = self.domain.n_grid // 2
-        sx, sy = self.sine_tables
-        kx, ky = self._axis_modes()
-        return (np.ascontiguousarray(sx[0::2, 1:h]),
-                np.ascontiguousarray(sy[0::2, 1:h]), (kx - 1) * len(sy) + ky - 1)
+        return tuple(np.ascontiguousarray(t[0::2, 1:h]) for t in self.sine_tables)
 
 
 @dataclass
@@ -146,32 +154,20 @@ def build_basis(domain: DomainSpec, K) -> EigenBasis:
     """Sine modes sorted by eigenvalue with stable index tie-breaking.
 
     K counts modes in total, at least one; the resolvability precondition
-    is K <= N/2 per axis (total K <= (N/2)^2 on a rectangle).
+    is K <= N/2 per axis, K <= (N/2)^dim in total.
     """
     K = int(K)
     if K < 1:
         raise OutOfRange(f"K = {K}: a basis needs at least one mode")
-    n = domain.n_grid
-    if domain.dim == 1:
-        if K > n // 2:
-            raise UnderResolved(f"K = {K} exceeds N/2 = {n // 2} resolvable modes")
-        k = np.arange(1, K + 1)
-        length = domain.sides[0]
-        lam = (k * math.pi / length) ** 2
-        return EigenBasis(domain=domain, K=K, lambdas=lam.astype(float), modes=k)
-    per_axis = n // 2
-    if K > per_axis * per_axis:
+    per_axis = domain.n_grid // 2
+    if K > per_axis ** domain.dim:
         raise UnderResolved(
-            f"K = {K} exceeds (N/2)^2 = {per_axis * per_axis} resolvable tensor modes")
-    lx, ly = domain.sides
-    kx, ky = np.meshgrid(np.arange(1, per_axis + 1), np.arange(1, per_axis + 1),
-                         indexing="ij")
-    lam = (kx * math.pi / lx) ** 2 + (ky * math.pi / ly) ** 2
-    flat = lam.ravel()
-    order = np.argsort(flat, kind="stable")[:K]
-    modes = np.stack([kx.ravel()[order], ky.ravel()[order]], axis=1)
-    return EigenBasis(domain=domain, K=K, lambdas=flat[order].astype(float),
-                      modes=modes)
+            f"K = {K} exceeds (N/2)^dim = {per_axis ** domain.dim} resolvable modes")
+    k = np.meshgrid(*[np.arange(1, per_axis + 1)] * domain.dim, indexing="ij")
+    lam = sum((kk * math.pi / length) ** 2 for kk, length in zip(k, domain.sides)).ravel()
+    order = np.argsort(lam, kind="stable")[:K]
+    modes = np.stack([kk.ravel()[order] for kk in k], axis=1)
+    return EigenBasis(domain=domain, K=K, lambdas=lam[order].astype(float), modes=modes)
 
 
 # --------------------------------------------------------------------------
@@ -191,7 +187,7 @@ def build_basis(domain: DomainSpec, K) -> EigenBasis:
 # even k' has z' = z, so its y is mirror-symmetric.
 
 # On a rectangle both transforms are products with the per-axis sine
-# tables on the (kx_max, ky_max) coefficient box.  The tables' endpoint
+# tables on the coefficient box `EigenBasis.box`.  The tables' endpoint
 # columns are exact zeros, so analysis needs no trapezoid half-weights and
 # synthesis leaves all four edges exactly zero.
 
@@ -228,9 +224,9 @@ def _synthesize(basis: EigenBasis, coeffs, half=False):
         vals[1:-1] = _dst1(x, scale)
         return vals
     sx, sy = basis.sine_tables
-    odd_x, odd_y, pos = basis._odd_tables
-    box = np.zeros((len(sx), len(sy)))
-    box.ravel()[pos] = coeffs
+    odd_x, odd_y = basis._odd_tables
+    box = np.zeros(basis.box)
+    box.ravel()[basis._box_pos] = coeffs
     if half:
         return np.pad(odd_x.T @ (box[::2, ::2] @ odd_y), ((1, 0), (1, 0)))
     return sx.T @ box @ sy
@@ -256,21 +252,21 @@ def _analyze(basis: EigenBasis, values):
         y[::2] = np.fft.rfft(np.append(z, -z[:0:-1])).imag[:0:-1] * (-2.0 * scale)
         return y[:basis.K]
     sx, sy = basis.sine_tables
-    odd_x, odd_y, pos = basis._odd_tables
+    odd_x, odd_y = basis._odd_tables
     if half:
         # the mirror sums are twice the interior nodes, the even-k rows zero
-        box = np.zeros((len(sx), len(sy)))
+        box = np.zeros(basis.box)
         box[::2, ::2] = 2.0 * (odd_x @ (2.0 * values[1:, 1:])) @ odd_y.T
     else:
         box = sx @ values @ sy.T
-    return box.ravel()[pos] * (spacing[0] * spacing[1])
+    return box.ravel()[basis._box_pos] * (spacing[0] * spacing[1])
 
 
 def synthesis(f: SpectralField) -> GridField:
     """Grid values of f; exactly even when the grid is even and f is zero
     on every mode with an even k."""
     basis = f.basis
-    even_k = np.any(basis.modes.reshape(basis.K, -1) % 2 == 0, axis=1)
+    even_k = np.any(basis.modes % 2 == 0, axis=1)
     if basis.domain.n_grid % 2 or f.coeffs[even_k].any():
         return GridField(basis.domain, _synthesize(basis, f.coeffs))
     return GridField(basis.domain, mirror(_synthesize(basis, f.coeffs, half=True)))
@@ -299,8 +295,7 @@ def gram_defect(basis: EigenBasis):
     """Max |Gram - I| entry of the sampled modes under the trapezoid product,
     the product over axes of the per-axis Grams."""
     g = 1.0
-    for table, w, k in zip(basis.sine_tables, basis.domain.trap_weights(),
-                           basis._axis_modes()):
+    for table, w, k in zip(basis.sine_tables, basis.domain.trap_weights(), basis.modes.T):
         gram = table @ (w[:, None] * table.T)
         g = g * gram[np.ix_(k - 1, k - 1)]
     return float(np.max(np.abs(g - np.eye(basis.K))))
@@ -332,7 +327,7 @@ def _cos_tail(theta, K, s, length):
 def _green_interval(basis: EigenBasis, s, x, y):
     a, b = basis.domain.bounds
     length = b - a
-    k = basis.modes.astype(float)
+    k = basis.modes[:, 0].astype(float)
     amp = basis._green_arrays(s)
     tm = math.pi * (x - y) / length
     tp = math.pi * ((x - a) + (y - a)) / length
@@ -341,16 +336,6 @@ def _green_interval(basis: EigenBasis, s, x, y):
     tail_p = _cos_tail(tp, basis.K, s, length)
     correction = (tail_m - tail_p) / length
     return val + correction, abs(correction)
-
-
-def _box_sines(domain: DomainSpec, axis, k_top, x):
-    """sqrt(2/L) sin(k pi (x - lo)/L) along axis, k = 1 .. k_top, at the
-    coordinates x, once per distinct coordinate; shape x.shape + (k_top,)."""
-    (lo, _), length = domain.ranges()[axis], domain.sides[axis]
-    vals, inv = np.unique(x, return_inverse=True)
-    return math.sqrt(2.0 / length) * np.sin(
-        (vals[:, None] - lo) * (np.arange(1, k_top + 1) * math.pi) / length
-    )[inv.reshape(np.shape(x))]
 
 
 def _as_point(x, dim):
@@ -377,9 +362,7 @@ def green_detail(basis: EigenBasis, s, x, y):
     if dim == 1:
         return _green_interval(basis, s, p[0], q[0])
     coef = basis._green_arrays(s)
-    (sxp, sxq), (syp, syq) = (
-        _box_sines(basis.domain, axis, coef.shape[1 + axis], [p[axis], q[axis]])
-        for axis in (0, 1))
+    (sxp, sxq), (syp, syq) = (basis.sines(axis, [p[axis], q[axis]]) for axis in (0, 1))
     v8, v16 = (((coef * sxp[:, None] * syp) @ syq) @ sxq).tolist()
     return v8, abs(v8 - v16)
 
@@ -486,14 +469,11 @@ def _robin_landscape(basis: EigenBasis, s, points, delta0):
         px, py = np.array(points).T
         d = np.array([dl[0] for dl in deltas])[:, None] / [1.0, 2.0, 4.0]
         step = np.stack([d, -d], axis=-1).reshape(len(points), 6)
-
-        def sines(axis, x):
-            # the points share coordinates and, unless d0 is clipped, offsets
-            return _box_sines(basis.domain, axis, c.shape[axis], x)
-
-        sx, sy = sines(0, px), sines(1, py)
-        green = [np.einsum("pk,pok->po", sx * (sy ** 2 @ c.T), sines(0, px[:, None] + step)),
-                 np.einsum("pk,pok->po", sy * (sx ** 2 @ c), sines(1, py[:, None] + step))]
+        sx, sy = basis.sines(0, px), basis.sines(1, py)
+        green = [np.einsum("pk,pok->po", sx * (sy ** 2 @ c.T),
+                           basis.sines(0, px[:, None] + step)),
+                 np.einsum("pk,pok->po", sy * (sx ** 2 @ c),
+                           basis.sines(1, py[:, None] + step))]
         # (point, level, the offsets x+, x-, y+, y-)
         green = np.concatenate([g.reshape(-1, 3, 2) for g in green], axis=-1)
         e_vals = np.mean(gam * d[..., None] ** (2.0 * s - 2.0) - green, axis=-1)

@@ -63,7 +63,7 @@ def phi_at(basis, point):
     coordinates of shape (m, 1) give the m points' (m, K) rows.  Each axis
     is evaluated once per k = 1 .. k_max and read per mode."""
     vals = 1.0
-    for k, (lo, _), length, x in zip(basis._axis_modes(), basis.domain.ranges(),
+    for k, (lo, _), length, x in zip(basis.modes.T, basis.domain.ranges(),
                                      basis.domain.sides, point):
         ks = np.arange(1, k.max() + 1)
         vals = vals * math.sqrt(2.0 / length) * np.sin(

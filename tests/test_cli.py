@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fhl import riesz, spectral
+from fhl import riesz, solver, spectral
 from fhl.cli import (_write_solution_csv, build_parser, parse_config, run_command,
                      serialize_config)
 from fhl.errors import MissingRequired, UnknownKey, WrongType
@@ -314,11 +314,12 @@ def test_count_out_of_range_is_typed_error(tmp_path, monkeypatch, capsys, argv, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["modes0.cfg"]
 
 
-def test_continuation_zero_strip_is_typed_error(tmp_path, capsys):
-    """strip_cells=0 exits 1 with one JSON line before any solve and writes
-    nothing; it wrote a zero boundary_strip_sup and strip_margin before."""
-    cfg_path = tmp_path / "strip0.cfg"
-    cfg_path.write_text(GOOD + "strip_cells=0\n")
+def _assert_strip_error(tmp_path, capsys, monkeypatch, strip_cells):
+    """`fhl continuation` with strip_cells exits 1 with one JSON line naming
+    DegenerateStrip before any solve, and writes nothing."""
+    monkeypatch.setattr(solver, "solve", lambda *a, **k: pytest.fail("solved"))
+    cfg_path = tmp_path / "strip.cfg"
+    cfg_path.write_text(GOOD + f"strip_cells={strip_cells}\n")
     assert run_command(["continuation", "--config", str(cfg_path),
                         "--eps", "0.5,0.4", "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
@@ -327,7 +328,20 @@ def test_continuation_zero_strip_is_typed_error(tmp_path, capsys):
     payload = json.loads(captured.err)
     assert payload["error"] == "DegenerateStrip"
     assert "strip radius" in payload["message"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["strip0.cfg"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["strip.cfg"]
+
+
+def test_continuation_zero_strip_is_typed_error(tmp_path, capsys, monkeypatch):
+    """strip_cells=0: it wrote a zero boundary_strip_sup and strip_margin
+    before."""
+    _assert_strip_error(tmp_path, capsys, monkeypatch, 0)
+
+
+def test_continuation_wide_strip_is_typed_error(tmp_path, capsys, monkeypatch):
+    """strip_cells=128 on the 256-node unit interval is a margin of 0.502,
+    past the inradius 0.5: it wrote an interior_l1 of 0.0 for every record
+    before, where boundary_bounds raised for the same radius."""
+    _assert_strip_error(tmp_path, capsys, monkeypatch, 128)
 
 
 def test_readme_commands_match_parser():

@@ -89,14 +89,17 @@ def test_continuation_validates_schedule(params1):
 
 @pytest.mark.parametrize("kwargs, error", [
     ({"strip_cells": 0}, DegenerateStrip), ({"strip_cells": -3}, DegenerateStrip),
+    ({"strip_cells": 40}, DegenerateStrip),
     ({"window": 0.0}, OutOfRange), ({"window": -1.0}, OutOfRange),
     ({"window": math.inf}, OutOfRange), ({"window": math.nan}, OutOfRange)],
-    ids=["strip-0", "strip-neg", "window-0", "window-neg", "window-inf", "window-nan"])
+    ids=["strip-0", "strip-neg", "strip-wide", "window-0", "window-neg", "window-inf",
+         "window-nan"])
 def test_continuation_rejects_degenerate_strip_and_window(params1, monkeypatch,
                                                           kwargs, error):
     """Before any solve: a strip of no cells wrote a zero boundary sup and
-    strip margin into the report, and a zero window failed only after the
-    first solve, on bounds the user never set."""
+    strip margin into the report, a strip of 40 cells (0.635, past the
+    inradius 0.5) an interior_l1 of 0.0 for every record, and a zero window
+    failed only after the first solve, on bounds the user never set."""
     dom = interval(0, 1, 64)
     setup = _sweep_setup(params1, dom)
     monkeypatch.setattr(solver, "solve", lambda *a, **k: pytest.fail("solved"))

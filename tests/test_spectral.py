@@ -48,6 +48,60 @@ def test_gram_orthonormal():
     assert spectral.gram_defect(basis2) < 1e-8
 
 
+@pytest.mark.parametrize("dom", [interval(0.0, 1.4, 128), rectangle(0.0, 1.4, 0.0, 0.9, 32)],
+                         ids=["interval", "rectangle"])
+def test_modes_are_k_by_dim(dom):
+    """One build_basis body: modes is (K, dim) in both dimensions, sorted by
+    the eigenvalue sum(k pi / L)^2, which is bit for bit the one term on an
+    interval."""
+    basis = spectral.build_basis(dom, 40)
+    assert basis.modes.shape == (40, dom.dim)
+    lam = sum((k * math.pi / length) ** 2 for k, length in zip(basis.modes.T, dom.sides))
+    assert np.array_equal(basis.lambdas, lam)
+    assert np.all(np.diff(basis.lambdas) >= 0.0)
+
+
+# the bn_sweep grid, the rect_robin solve and Robin grids, an odd rectangle
+_SINE_GRIDS = [(rectangle(0.0, 1.0, 0.0, 1.0, 160), 4096),
+               (rectangle(0.0, 1.4, 0.0, 0.9, 128), 2304),
+               (rectangle(0.0, 1.4, 0.0, 0.9, 512), 128 * 128),
+               (rectangle(0.0, 1.0, 0.0, 1.3, 65), 500)]
+
+
+@pytest.mark.parametrize("dom, K", _SINE_GRIDS,
+                         ids=["bn_sweep", "rect_robin", "rect_robin-512", "odd-65"])
+def test_sines_are_the_sine_tables(dom, K):
+    """The transforms' tables and the Green and Robin sums read one sine
+    evaluator: at the nodes `sines` equals `sine_tables` bit for bit, away
+    from the endpoint columns the tables zero.  The tables rounded
+    sin(outer(k, x - lo) pi / L) and the sums sin((x - lo) (k pi) / L)
+    before, up to 1.7e-13 apart."""
+    basis = spectral.build_basis(dom, K)
+    for axis, (table, x) in enumerate(zip(basis.sine_tables, dom.axes())):
+        assert table.shape == (basis.box[axis], dom.n_grid)
+        assert np.array_equal(basis.sines(axis, x).T[:, 1:-1], table[:, 1:-1])
+        assert not table[:, [0, -1]].any()
+
+
+@pytest.mark.parametrize("dom, K", _SINE_GRIDS[::2], ids=["bn_sweep", "rect_robin-512"])
+def test_sines_match_mpmath(dom, K):
+    """The sine evaluator against 40-digit mpmath at every 7th node and 60
+    random points, every fifth k: the rounding of (x - lo) (k pi) / L keeps
+    the error below 2.5e-13 on the pinned axes (1.7e-13 measured)."""
+    mpmath = pytest.importorskip("mpmath")
+    basis = spectral.build_basis(dom, K)
+    rng = np.random.default_rng(30)
+    for axis, ((lo, hi), length, nodes) in enumerate(zip(dom.ranges(), dom.sides,
+                                                         dom.axes())):
+        x = np.concatenate([nodes[::7], rng.uniform(lo, hi, 60)])
+        k = np.arange(1, basis.box[axis] + 1, 5)
+        with mpmath.workdps(40):
+            scale = mpmath.sqrt(2 / mpmath.mpf(length))
+            ref = [[float(scale * mpmath.sin(int(kk) * mpmath.pi * (mpmath.mpf(xx) - lo)
+                                             / length)) for kk in k] for xx in x]
+        assert np.max(np.abs(basis.sines(axis, x)[:, k - 1] - ref)) < 2.5e-13
+
+
 def test_parseval():
     basis = spectral.build_basis(interval(0.0, 1.0, 512), 128)
     rng = np.random.default_rng(2)
